@@ -5,38 +5,23 @@
 namespace awb {
 
 Pe::Pe(int id, int num_queues, std::size_t queue_depth, int mac_latency)
-    : id_(id), macLatency_(mac_latency),
-      stats_("pe" + std::to_string(id) + ".")
+    : id_(id), macLatency_(mac_latency)
 {
     if (num_queues < 1) num_queues = 1;
     queues_.reserve(static_cast<std::size_t>(num_queues));
     for (int q = 0; q < num_queues; ++q)
         queues_.emplace_back(queue_depth);
+    capacity_ = static_cast<std::size_t>(num_queues) * queue_depth;
     inflight_.reserve(static_cast<std::size_t>(mac_latency) + 1);
-}
-
-std::size_t
-Pe::pending() const
-{
-    std::size_t n = 0;
-    for (const auto &q : queues_) n += q.size();
-    return n;
 }
 
 bool
 Pe::drained(Cycle now) const
 {
-    if (pending() != 0) return false;
+    if (pending_ != 0) return false;
     for (const auto &f : inflight_)
         if (f.done > now) return false;
     return true;
-}
-
-bool
-Pe::canAccept() const
-{
-    return std::any_of(queues_.begin(), queues_.end(),
-                       [](const Fifo<Task> &q) { return !q.full(); });
 }
 
 bool
@@ -48,10 +33,11 @@ Pe::enqueue(const Task &task)
         if (best == nullptr || q.size() < best->size()) best = &q;
     }
     if (best == nullptr) {
-        stats_.counter("enqueueRejects").inc();
+        ++enqueueRejects_;
         return false;
     }
     best->push(task);
+    ++pending_;
     roundPeak_ = std::max(roundPeak_, best->size());
     return true;
 }
@@ -76,32 +62,26 @@ Pe::tick(Cycle now, std::vector<Value> &acc)
 
     // Arbiter: round-robin over queues, issue the first whose head does
     // not RaW-conflict with an in-flight accumulation.
-    bool any_pending = false;
-    for (std::size_t i = 0; i < queues_.size(); ++i) {
-        auto qi = (nextQueue_ + i) % queues_.size();
+    const std::size_t nq = queues_.size();
+    std::size_t qi = nextQueue_;
+    for (std::size_t i = 0; i < nq; ++i) {
         Fifo<Task> &q = queues_[qi];
-        if (q.empty()) continue;
-        any_pending = true;
-        if (rowInFlight(q.front().row)) continue;
+        if (++qi == nq) qi = 0;
+        if (q.empty() || rowInFlight(q.front().row)) continue;
 
         Task t = q.pop();
-        nextQueue_ = (qi + 1) % queues_.size();
+        --pending_;
+        nextQueue_ = qi;
         // Functional accumulate (the value is architecturally visible
         // only after the pipeline delay, which the scoreboard enforces).
         acc[static_cast<std::size_t>(t.row)] += t.a * t.b;
         inflight_.push_back({t.row, now + macLatency_});
         lastBusy_ = now;
         ++tasksRound_;
-        stats_.counter("tasks").inc();
-        stats_.counter("busyCycles").inc();
         return;
     }
 
-    if (any_pending) {
-        stats_.counter("rawStallCycles").inc();
-    } else {
-        stats_.counter("idleCycles").inc();
-    }
+    if (pending_ != 0) ++rawStalls_;
 }
 
 std::size_t

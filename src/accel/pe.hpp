@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "accel/task.hpp"
-#include "common/stats.hpp"
 #include "sim/fifo.hpp"
 
 namespace awb {
@@ -36,14 +35,25 @@ class Pe
 
     int id() const { return id_; }
 
-    /** Total buffered tasks across this PE's queues ("pending counter"). */
-    std::size_t pending() const;
+    /**
+     * Total buffered tasks across this PE's queues ("pending counter"),
+     * kept as a running count. A PE with nothing pending need not be
+     * ticked: such a tick would only retire finished MAC ops, which the
+     * next real tick retires before any hazard check, and drained()
+     * compares completion cycles against `now` directly.
+     */
+    std::size_t pending() const { return pending_; }
 
     /** True when queues are empty and the MAC pipeline has drained. */
     bool drained(Cycle now) const;
 
-    /** Can at least one queue accept a task? */
-    bool canAccept() const;
+    /** Can at least one queue accept a task? All queues share one
+     *  capacity, so some queue has room iff the total is below the sum. */
+    bool
+    canAccept() const
+    {
+        return capacity_ == 0 || pending_ < capacity_;
+    }
 
     /**
      * Enqueue a task into the shortest queue. Returns false when all
@@ -88,8 +98,10 @@ class Pe
     std::size_t arbiterCursor() const { return nextQueue_; }
     void setArbiterCursor(std::size_t q) { nextQueue_ = q % queues_.size(); }
 
-    StatSet &stats() { return stats_; }
-    const StatSet &stats() const { return stats_; }
+    /** Cycles with tasks queued but every queue head RaW-blocked. */
+    Count rawStallCycles() const { return rawStalls_; }
+    /** enqueue() calls refused because every queue was full. */
+    Count enqueueRejects() const { return enqueueRejects_; }
 
   private:
     /** True if `row` is being accumulated in the MAC pipeline. */
@@ -98,6 +110,8 @@ class Pe
     int id_;
     int macLatency_;
     std::vector<Fifo<Task>> queues_;
+    std::size_t capacity_;       ///< summed queue capacity (0 = unbounded)
+    std::size_t pending_ = 0;    ///< tasks resident across queues_
     std::size_t nextQueue_ = 0;  ///< round-robin arbiter state
 
     /** Scoreboard: (row, completion cycle) of in-flight MAC ops. */
@@ -111,7 +125,8 @@ class Pe
     Cycle lastBusy_ = -1;
     Count tasksRound_ = 0;
     std::size_t roundPeak_ = 0;
-    StatSet stats_;
+    Count rawStalls_ = 0;
+    Count enqueueRejects_ = 0;
 };
 
 } // namespace awb

@@ -16,41 +16,41 @@
 #include "kernels/spgemm.hpp"
 #include "sparse/convert.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace awb {
 
 namespace {
 
-/** Flattened column-major non-zero stream of the sparse operand. */
+/**
+ * Column-major non-zero stream of the sparse operand. Stream position f
+ * is CSC position f, so rows and values are read from the CSC arrays in
+ * place and only each non-zero's column is materialised.
+ */
 struct NnzStream
 {
-    std::vector<Index> row;
+    const std::vector<Index> &row;
+    const std::vector<Value> &val;
     std::vector<Index> col;
-    std::vector<Count> densePos;  ///< column-major element index (TDQ-1)
-    std::vector<Value> val;
+    Count rows;
 
     explicit NnzStream(const CscMatrix &a)
+        : row(a.rowId()), val(a.val()), rows(a.rows())
     {
-        auto nnz = static_cast<std::size_t>(a.nnz());
-        row.reserve(nnz);
-        col.reserve(nnz);
-        densePos.reserve(nnz);
-        val.reserve(nnz);
+        col.reserve(static_cast<std::size_t>(a.nnz()));
         for (Index j = 0; j < a.cols(); ++j) {
-            for (Count p = a.colPtr()[static_cast<std::size_t>(j)];
-                 p < a.colPtr()[static_cast<std::size_t>(j) + 1]; ++p) {
-                Index r = a.rowId()[static_cast<std::size_t>(p)];
-                row.push_back(r);
-                col.push_back(j);
-                densePos.push_back(static_cast<Count>(j) * a.rows() + r);
-                val.push_back(a.val()[static_cast<std::size_t>(p)]);
-            }
+            const auto begin = a.colPtr()[static_cast<std::size_t>(j)];
+            const auto end = a.colPtr()[static_cast<std::size_t>(j) + 1];
+            col.insert(col.end(), static_cast<std::size_t>(end - begin), j);
         }
     }
 
-    std::size_t size() const { return row.size(); }
+    /** Column-major element index of non-zero f (the TDQ-1 scan). */
+    Count
+    densePos(std::size_t f) const
+    {
+        return static_cast<Count>(col[f]) * rows + row[f];
+    }
+
+    std::size_t size() const { return col.size(); }
 };
 
 // RoundRecord (the per-round outcome) and RoundEntryKey now live in
@@ -66,9 +66,7 @@ Count
 rawStallsOf(const std::vector<Pe> &pes)
 {
     Count total = 0;
-    for (const Pe &pe : pes)
-        if (const Counter *cn = pe.stats().find("rawStallCycles"))
-            total += cn->value();
+    for (const Pe &pe : pes) total += pe.rawStallCycles();
     return total;
 }
 
@@ -144,6 +142,10 @@ SpmmEngine::execute(const CscMatrix &a, const DenseMatrix &b, TdqKind kind,
     // Per-round bookkeeping reused across rounds.
     std::vector<Value> acc(static_cast<std::size_t>(m), Value(0));
     std::vector<int> accepted(static_cast<std::size_t>(P), 0);
+    // TDQ-2: the CSC array is banked P ways; each bank feeds one network
+    // port through its own read pointer, so a congested path stalls only
+    // its own lane (port p streams flits p, p+P, ...).
+    std::vector<std::size_t> port_next(static_cast<std::size_t>(P));
     // Dispatch-side (home-attributed) task counters: what the PESM's
     // distribution-point monitors see. Local sharing smears *execution*
     // across neighbours, but the switchable quantity is row ownership,
@@ -191,10 +193,6 @@ SpmmEngine::execute(const CscMatrix &a, const DenseMatrix &b, TdqKind kind,
         const Cycle round_start = now;
         std::size_t next = 0;    // next flit to dispatch (TDQ-1)
         Count scan_pos = 0;      // TDQ-1 dense-scan pointer
-        // TDQ-2: the CSC array is banked P ways; each bank feeds one
-        // network port through its own read pointer, so a congested path
-        // stalls only its own lane (port p streams flits p, p+P, ...).
-        std::vector<std::size_t> port_next(static_cast<std::size_t>(P));
         std::size_t lanes_done = 0;
         for (int p = 0; p < P; ++p) {
             port_next[static_cast<std::size_t>(p)] =
@@ -226,7 +224,10 @@ SpmmEngine::execute(const CscMatrix &a, const DenseMatrix &b, TdqKind kind,
 
         while (true) {
             // 1. PEs consume (they see queue state from previous cycles).
-            for (auto &pe : pes) pe.tick(now, acc);
+            // An idle PE's tick is a no-op up to MAC retirement, which
+            // its next real tick performs first (Pe::pending()).
+            for (auto &pe : pes)
+                if (pe.pending() != 0) pe.tick(now, acc);
 
             std::fill(accepted.begin(), accepted.end(), 0);
 
@@ -257,10 +258,10 @@ SpmmEngine::execute(const CscMatrix &a, const DenseMatrix &b, TdqKind kind,
             // 3. Injection.
             if (kind == TdqKind::Tdq1DenseScan) {
                 scan_pos += scan_width;
-                while (next < n_flits && stream.densePos[next] < scan_pos) {
+                while (next < n_flits && stream.densePos(next) < scan_pos) {
                     if (!deliver(next)) {
                         // Backpressure: the scan stalls at this element.
-                        scan_pos = stream.densePos[next];
+                        scan_pos = stream.densePos(next);
                         break;
                     }
                     ++next;
@@ -311,21 +312,6 @@ SpmmEngine::execute(const CscMatrix &a, const DenseMatrix &b, TdqKind kind,
 
         RoundRecord out;
         out.roundCycles = now - round_start;
-        if (std::getenv("AWB_DEBUG_ROUND") && k == 0) {
-            std::fprintf(stderr, "round0 cycles=%lld\n",
-                         static_cast<long long>(out.roundCycles));
-            for (int p = 0; p < P; ++p) {
-                std::fprintf(stderr, "pe%02d exec=%lld home=%lld last=%lld\n",
-                    p,
-                    static_cast<long long>(
-                        pes[static_cast<std::size_t>(p)].tasksThisRound()),
-                    static_cast<long long>(
-                        home_tasks[static_cast<std::size_t>(p)]),
-                    static_cast<long long>(
-                        pes[static_cast<std::size_t>(p)].lastBusyCycle() -
-                        round_start));
-            }
-        }
         out.homeTasks = home_tasks;
         out.execTasks.resize(static_cast<std::size_t>(P));
         out.drainCycle.resize(static_cast<std::size_t>(P));
@@ -553,6 +539,7 @@ SpmmEngine::executeSpgemm(const CscMatrix &a, const CscMatrix &b,
     std::vector<Value> acc(static_cast<std::size_t>(m), Value(0));
     std::vector<int> accepted(static_cast<std::size_t>(P), 0);
     std::vector<Count> home_tasks(static_cast<std::size_t>(P), 0);
+    std::vector<std::size_t> port_next(static_cast<std::size_t>(P));
     std::vector<Index> r_row;
     std::vector<Value> r_aval;
     std::vector<Value> r_bval;
@@ -594,7 +581,6 @@ SpmmEngine::executeSpgemm(const CscMatrix &a, const CscMatrix &b,
         const Count raw_before = rawStallsOf(pes);
         const Cycle round_start = now;
         std::size_t next = 0;
-        std::vector<std::size_t> port_next(static_cast<std::size_t>(P));
         std::size_t lanes_done = 0;
         for (int p = 0; p < P; ++p) {
             port_next[static_cast<std::size_t>(p)] =
@@ -623,7 +609,8 @@ SpmmEngine::executeSpgemm(const CscMatrix &a, const CscMatrix &b,
         };
 
         while (true) {
-            for (auto &pe : pes) pe.tick(now, acc);
+            for (auto &pe : pes)
+                if (pe.pending() != 0) pe.tick(now, acc);
 
             std::fill(accepted.begin(), accepted.end(), 0);
 

@@ -120,7 +120,7 @@ TEST(Pe, RawHazardStallsSameRow)
     }
     EXPECT_FLOAT_EQ(acc[0], 2.0f);
     EXPECT_GE(done, 4);  // issue at t=0, retire at t=4, reissue at t>=4
-    EXPECT_GT(pe.stats().find("rawStallCycles")->value(), 0);
+    EXPECT_GT(pe.rawStallCycles(), 0);
 }
 
 TEST(Pe, DifferentRowsPipelineBackToBack)
@@ -161,7 +161,64 @@ TEST(Pe, BoundedQueueBackpressure)
     EXPECT_TRUE(pe.enqueue({1, 1, 1, 0}));
     EXPECT_FALSE(pe.canAccept());
     EXPECT_FALSE(pe.enqueue({2, 1, 1, 0}));
-    EXPECT_EQ(pe.stats().find("enqueueRejects")->value(), 1);
+    EXPECT_EQ(pe.enqueueRejects(), 1);
+}
+
+TEST(Pe, IdleTickChangesNoObservableState)
+{
+    // The engine skips PEs with nothing pending. That is exact only if
+    // such a tick changes nothing observable, including while MAC ops
+    // are still in flight: `idle` is ticked through the drain, `twin`
+    // is not, and the two must agree at every cycle and after new work.
+    Pe idle(0, 2, 0, 4);
+    Pe twin(0, 2, 0, 4);
+    std::vector<Value> acc_idle(4, 0.0f);
+    std::vector<Value> acc_twin(4, 0.0f);
+    for (Pe *pe : {&idle, &twin}) {
+        pe->enqueue({0, 1.0f, 2.0f, 0});
+        pe->enqueue({0, 1.0f, 3.0f, 0});  // RaW on row 0: stalls
+        pe->enqueue({1, 1.0f, 4.0f, 0});
+    }
+    Cycle t = 0;
+    for (; idle.pending() != 0; ++t) {
+        ASSERT_LT(t, 50);
+        idle.tick(t, acc_idle);
+        twin.tick(t, acc_twin);
+    }
+    ASSERT_GT(idle.rawStallCycles(), 0);
+    ASSERT_FALSE(idle.drained(t));  // the last issue is still in flight
+
+    auto same = [&](Cycle now) {
+        EXPECT_EQ(idle.pending(), twin.pending());
+        EXPECT_EQ(idle.drained(now), twin.drained(now)) << "now=" << now;
+        EXPECT_EQ(idle.lastBusyCycle(), twin.lastBusyCycle());
+        EXPECT_EQ(idle.tasksThisRound(), twin.tasksThisRound());
+        EXPECT_EQ(idle.arbiterCursor(), twin.arbiterCursor());
+        EXPECT_EQ(idle.rawStallCycles(), twin.rawStallCycles());
+    };
+    const Cycle quiet_end = t + 8;
+    for (; t < quiet_end; ++t) {
+        idle.tick(t, acc_idle);
+        same(t + 1);
+    }
+    EXPECT_TRUE(idle.drained(t));
+    EXPECT_EQ(acc_idle, acc_twin);
+
+    // New work after the gap: the skipped twin retires its stale MAC ops
+    // on its next real tick and issues exactly as the ticked PE does.
+    for (Pe *pe : {&idle, &twin}) {
+        pe->enqueue({0, 1.0f, 5.0f, 0});
+        pe->enqueue({1, 1.0f, 6.0f, 0});
+    }
+    for (; idle.pending() != 0 || !idle.drained(t); ++t) {
+        ASSERT_LT(t, quiet_end + 50);
+        idle.tick(t, acc_idle);
+        twin.tick(t, acc_twin);
+        same(t + 1);
+    }
+    EXPECT_TRUE(twin.drained(t));
+    EXPECT_EQ(acc_idle, acc_twin);
+    EXPECT_EQ(idle.tasksThisRound(), 5);
 }
 
 TEST(LocalShare, PicksLeastLoadedNeighbour)

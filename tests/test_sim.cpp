@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -207,4 +208,161 @@ TEST(Omega, ThroughputUnderUniformTraffic)
     EXPECT_EQ(received, 256);
     EXPECT_LT(cycles, 96);
     EXPECT_GE(net.peakBufferDepth(), 1u);
+}
+
+TEST(Omega, PerPortOrderSurvivesRingWrapAround)
+{
+    // Every source streams numbered flits to one destination while the
+    // sink refuses one cycle in three, so each ring buffer fills, drains
+    // and wraps its head many times. Flits sharing a source and a
+    // destination share a path and must arrive in injection order.
+    // Depth 3 exercises the non-power-of-two wrap.
+    const int P = 4;
+    const int per_src = 40;
+    for (int depth : {1, 2, 3}) {
+        OmegaNetwork net(P, depth, /*speedup=*/1);
+        std::vector<int> sent(P, 0);
+        std::vector<std::vector<Index>> got(P);
+        int cycles = 0;
+        auto done = [&] {
+            for (int s = 0; s < P; ++s)
+                if (got[s].size() != static_cast<std::size_t>(per_src))
+                    return false;
+            return true;
+        };
+        while (!done() && cycles < 10000) {
+            ++cycles;
+            net.tick(cycles, [&](const Flit &f, int port) {
+                EXPECT_EQ(port, f.destPe);
+                if (cycles % 3 == 0) return false;
+                got[static_cast<std::size_t>(f.task.homePe)].push_back(
+                    f.task.row);
+                return true;
+            });
+            for (int s = 0; s < P; ++s) {
+                if (sent[s] == per_src) continue;
+                const int dest = (s + 1) % P;
+                Flit f{Task{static_cast<Index>(sent[s]), 1.0f, 1.0f, s},
+                       dest};
+                if (net.inject(f, s)) ++sent[s];
+            }
+        }
+        ASSERT_TRUE(done()) << "depth=" << depth;
+        EXPECT_TRUE(net.empty());
+        EXPECT_LE(net.peakBufferDepth(), static_cast<std::size_t>(depth));
+        for (int s = 0; s < P; ++s)
+            for (int i = 0; i < per_src; ++i)
+                EXPECT_EQ(got[s][static_cast<std::size_t>(i)], i)
+                    << "depth=" << depth << " src=" << s;
+    }
+}
+
+TEST(Omega, LifetimePeakIsMaxOfRoundPeaks)
+{
+    // Three rounds with different pile-ups, each closed by
+    // resetRoundPeak(): the deepest round sits in the middle so neither
+    // the first nor the last round's peak alone can explain the result.
+    OmegaNetwork net(4, 8, /*speedup=*/1);
+    std::vector<std::size_t> round_peaks;
+    int cycles = 0;
+    for (int burst : {1, 6, 2}) {
+        net.resetRoundPeak();
+        for (int i = 0; i < burst; ++i) {
+            Flit f{Task{0, 1.0f, 1.0f, 0}, 0};
+            ASSERT_TRUE(net.inject(f, 0));
+        }
+        // Hold the burst in the fabric for a few cycles, then drain.
+        for (int i = 0; i < 4; ++i)
+            net.tick(++cycles, [](const Flit &, int) { return false; });
+        while (!net.empty() && cycles < 1000)
+            net.tick(++cycles, [](const Flit &, int) { return true; });
+        round_peaks.push_back(net.roundPeakBufferDepth());
+    }
+    EXPECT_EQ(round_peaks[0], 1u);
+    EXPECT_GT(round_peaks[1], round_peaks[0]);
+    EXPECT_GT(round_peaks[1], round_peaks[2]);
+    EXPECT_EQ(net.peakBufferDepth(),
+              *std::max_element(round_peaks.begin(), round_peaks.end()));
+    net.resetRoundPeak();
+    EXPECT_EQ(net.roundPeakBufferDepth(), 0u);
+    EXPECT_EQ(net.peakBufferDepth(), round_peaks[1]);
+}
+
+TEST(Omega, InjectRejectsAtCapacityWithoutLosingAFlit)
+{
+    OmegaNetwork net(4, 3);
+    for (Index i = 0; i < 3; ++i)
+        ASSERT_TRUE(net.inject(Flit{Task{i, 1.0f, 1.0f, 2}, 2}, 1));
+    EXPECT_FALSE(net.inject(Flit{Task{99, 1.0f, 1.0f, 2}, 2}, 1));
+    EXPECT_EQ(net.peakBufferDepth(), 3u);
+
+    std::vector<Flit> out;
+    drainAll(net, out);
+    ASSERT_EQ(out.size(), 3u);
+    for (Index i = 0; i < 3; ++i) {
+        EXPECT_EQ(out[static_cast<std::size_t>(i)].task.row, i);
+        EXPECT_EQ(out[static_cast<std::size_t>(i)].destPe, 2);
+    }
+    // The rejected flit left nothing behind, and the freed slots accept.
+    EXPECT_TRUE(net.inject(Flit{Task{7, 1.0f, 1.0f, 2}, 2}, 1));
+    out.clear();
+    drainAll(net, out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].task.row, 7);
+}
+
+namespace {
+
+/** Sink function object that counts and refuses every other offer. */
+struct AlternatingSink
+{
+    int offers = 0;
+    int accepted = 0;
+
+    bool
+    operator()(const Flit &, int)
+    {
+        if (++offers % 2 == 0) return false;
+        ++accepted;
+        return true;
+    }
+};
+
+} // namespace
+
+TEST(Omega, TickAcceptsStatefulLambdaAndFunctionObject)
+{
+    const int P = 8;
+    auto fill = [&](OmegaNetwork &net) {
+        for (int s = 0; s < P; ++s)
+            ASSERT_TRUE(net.inject(Flit{Task{0, 1.0f, 1.0f, s}, s}, s));
+    };
+
+    // A mutable lambda passed by lvalue keeps its state across ticks.
+    OmegaNetwork a(P, 4);
+    fill(a);
+    int delivered = 0;
+    auto counting = [seen = 0, &delivered](const Flit &, int) mutable {
+        delivered = ++seen;
+        return true;
+    };
+    for (int c = 0; c < 100 && !a.empty(); ++c) a.tick(c, counting);
+    EXPECT_TRUE(a.empty());
+    EXPECT_EQ(delivered, P);
+
+    // A function object passed by lvalue is used in place, not copied.
+    OmegaNetwork b(P, 4);
+    fill(b);
+    AlternatingSink sink;
+    for (int c = 0; c < 100 && !b.empty(); ++c) b.tick(c, sink);
+    EXPECT_TRUE(b.empty());
+    EXPECT_EQ(sink.accepted, P);
+    EXPECT_EQ(sink.offers, 2 * P - 1);
+    EXPECT_EQ(b.flitsDelivered(), P);
+
+    // A temporary function object binds too.
+    OmegaNetwork c(P, 4);
+    fill(c);
+    for (int t = 0; t < 100 && !c.empty(); ++t) c.tick(t, AlternatingSink{});
+    EXPECT_TRUE(c.empty());
 }
