@@ -27,17 +27,19 @@ hashRoundKey(const RoundEntryKey &key)
 }
 
 std::uint64_t
-roundContextDigest(const CscMatrix &a, const AccelConfig &cfg, int tdq_kind)
+roundContextDigest(const AccelConfig &cfg, int kind, Index rows,
+                   const std::vector<Count> &col_ptr,
+                   const std::vector<Index> &row_id)
 {
     std::uint64_t h = roundMix64(0xA3B1C5D7E9F00301ULL);
-    h = roundMix64(h ^ static_cast<std::uint64_t>(a.rows()));
-    h = roundMix64(h ^ static_cast<std::uint64_t>(a.cols()));
-    h = roundMix64(h ^ static_cast<std::uint64_t>(a.nnz()));
+    h = roundMix64(h ^ static_cast<std::uint64_t>(rows));
+    h = roundMix64(h ^ static_cast<std::uint64_t>(col_ptr.size()));
+    h = roundMix64(h ^ static_cast<std::uint64_t>(row_id.size()));
     // Structure only: row ids and column extents drive every control
     // decision; values flow exclusively into the functional accumulator.
     std::uint64_t s = h;
-    for (Count p : a.colPtr()) s = roundMix64(s ^ static_cast<std::uint64_t>(p));
-    for (Index r : a.rowId()) s = roundMix64(s ^ static_cast<std::uint64_t>(r));
+    for (Count p : col_ptr) s = roundMix64(s ^ static_cast<std::uint64_t>(p));
+    for (Index r : row_id) s = roundMix64(s ^ static_cast<std::uint64_t>(r));
     h = roundMix64(h ^ s);
     // Timing-relevant configuration. Platform/engine/policy/chips are
     // excluded on purpose (see the file header in round_cache.hpp).
@@ -52,7 +54,7 @@ roundContextDigest(const CscMatrix &a, const AccelConfig &cfg, int tdq_kind)
     h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.injectWidth));
     h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.streamWidth));
     h = roundMix64(h ^ static_cast<std::uint64_t>(cfg.maxCyclesPerRound));
-    h = roundMix64(h ^ static_cast<std::uint64_t>(tdq_kind));
+    h = roundMix64(h ^ static_cast<std::uint64_t>(kind));
     return h;
 }
 

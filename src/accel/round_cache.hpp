@@ -15,12 +15,17 @@
  * (structure, timing-config, entry-state) once, process-wide.
  *
  * The context digest deliberately covers only what round dynamics read:
- * the CSC structure (row ids and column extents — values are excluded,
- * they only flow into the functional accumulator) and the timing fields
- * of `AccelConfig`. Platform is excluded because the roofline floor is
- * composed outside the round loop (§8); engine kind because both
- * engines share one simulateRound; balance policy because its whole
- * effect is the owners vector already inside the entry key.
+ * the structure of the round's flit stream (row ids and column extents —
+ * values are excluded, they only flow into the functional accumulator),
+ * the stream kind and the timing fields of `AccelConfig`. An SPMM's
+ * stream is its CSC operand, the same every round; a SpGEMM round's is
+ * its expansion of one B column, digested per round. A B column holding
+ * every inner index expands to exactly A's CSC stream, so only the kind
+ * tag keeps that round apart from an SPMM over the same A. Platform is
+ * excluded because the roofline floor is composed outside the round
+ * loop (§8); engine kind because both engines share one round stepper;
+ * balance policy because its whole effect is the owners vector already
+ * inside the entry key.
  *
  * Disabled by default so unit tests and library embedders see the
  * uncached engine; `awbsim` enables it (escape hatch: `--no-cache`).
@@ -35,7 +40,6 @@
 #include <vector>
 
 #include "accel/config.hpp"
-#include "sparse/csc.hpp"
 
 namespace awb {
 
@@ -80,11 +84,15 @@ std::uint64_t hashRoundKey(const RoundEntryKey &key);
 
 /**
  * 64-bit digest of everything outside the entry key that round dynamics
- * read: the sparse structure of `a` and the timing-relevant fields of
- * `cfg` plus the TDQ kind.
+ * read: the timing-relevant fields of `cfg`, the stream kind tag (a
+ * TdqKind, or the SpGEMM tag) and the structure of the round's flit
+ * stream — `rows`, and the stream cut into columns by `col_ptr` with
+ * `row_id` the flits' row sequence. An SPMM passes its operand's CSC
+ * arrays; a SpGEMM round passes the expansion of its B column.
  */
-std::uint64_t roundContextDigest(const CscMatrix &a, const AccelConfig &cfg,
-                                 int tdq_kind);
+std::uint64_t roundContextDigest(const AccelConfig &cfg, int kind, Index rows,
+                                 const std::vector<Count> &col_ptr,
+                                 const std::vector<Index> &row_id);
 
 /** Thread-safe process-wide (context, entry-key) → outcome memo. */
 class RoundStateCache

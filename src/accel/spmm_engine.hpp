@@ -17,7 +17,11 @@
  * reused for the remaining columns. A per-column barrier separates rounds
  * (§3.3: synchronization happens when a full column of C is complete).
  *
- * Two implementations share one execution loop (AccelConfig::engine):
+ * Both entry points advance one round stepper (DESIGN.md §13): a flit
+ * source — the TDQ-1 dense scan, the TDQ-2 CSC stream or a SpGEMM
+ * round's expansion of B column k — drives the PE and Omega dynamics to
+ * a per-round outcome record, from which every statistic is folded.
+ * Two implementations share that loop (AccelConfig::engine):
  *
  *  - EngineKind::Event steps every non-zero of every round;
  *  - EngineKind::Batched exploits that a round's timing is a pure
@@ -132,14 +136,16 @@ class SpmmEngine
      * columns, so per-round task counts track the *output* work, not a
      * fixed non-zero stream. Values are materialized by the functional
      * kernel (kernels::spgemm) — bit-identical across engines — while
-     * the event schedule prices the work. Differences from execute():
-     * every round is event-stepped (roundsSimulated == rounds under
-     * both engines: the task stream changes per round, so there is no
-     * recurring entry state to replay), and the rebalance policy
-     * observes after *every* round including the last (frontier kernels
-     * chain 1-round SpGEMMs over a carried partition, so the last
-     * round's observation is the only one they would ever get);
-     * migration ordered after the final round bills its bytes to
+     * the event schedule prices the work. A round's dynamics read only
+     * its entry state and its flit row sequence, so with the process-wide
+     * RoundStateCache enabled a round whose stream and entry state recur
+     * (every PageRank iteration under a static policy) replays under
+     * both engines; there is no within-run memo, so roundsSimulated ==
+     * rounds either way. Unlike execute(), the rebalance policy observes
+     * after *every* round including the last (frontier kernels chain
+     * 1-round SpGEMMs over a carried partition, so the last round's
+     * observation is the only one they would ever get); migration
+     * ordered after the final round bills its bytes to
      * `stats.traffic.migrationBytes` without a bandwidth floor.
      *
      * @param a          sparse left operand in CSC

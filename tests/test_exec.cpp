@@ -3,7 +3,8 @@
  * Unit tests of the unified execution core (DESIGN.md §13): the
  * process-wide WorkloadCache (hit/miss accounting, bit-identical
  * results, single-flight concurrency), the shared round-entry-state
- * cache (stats equivalence on fresh engines, both engine kinds), the
+ * cache (stats equivalence on fresh engines, both engine kinds, SPMM and
+ * frontier-kernel SpGEMM, and the separation of their contexts), the
  * Runner's centralized utilization derivation, deterministic intra-point
  * parallelism (bit-identical functional SPMM at any thread count) and
  * the cache-independence of sweep JSON output.
@@ -12,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,6 +28,9 @@
 #include "exec/run.hpp"
 #include "exec/workload_cache.hpp"
 #include "graph/datasets.hpp"
+#include "kernels/bfs.hpp"
+#include "kernels/frontier.hpp"
+#include "kernels/pagerank.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/dense.hpp"
 #include "sparse/spmm.hpp"
@@ -79,6 +85,104 @@ sameStats(const SpmmStats &x, const SpmmStats &y)
            x.memoryCycles == y.memoryCycles &&
            x.bwBoundRounds == y.bwBoundRounds &&
            x.roundCycles == y.roundCycles && x.perPeTasks == y.perPeTasks;
+}
+
+bool
+sameTraffic(const MemoryTraffic &x, const MemoryTraffic &y)
+{
+    return x.sparseBytes == y.sparseBytes && x.denseBytes == y.denseBytes &&
+           x.outputBytes == y.outputBytes &&
+           x.migrationBytes == y.migrationBytes &&
+           x.haloBytes == y.haloBytes && x.bRowBytes == y.bRowBytes &&
+           x.outputIndexBytes == y.outputIndexBytes;
+}
+
+/** A frontier-kernel run: every FrontierRunStats field plus the
+ *  functional output (BFS parents and depths, PageRank scores). */
+struct FrontierOutcome
+{
+    kernels::FrontierRunStats stats;
+    std::vector<Index> parent;
+    std::vector<Index> depth;
+    std::vector<Value> scores;
+};
+
+bool
+sameOutcome(const FrontierOutcome &x, const FrontierOutcome &y)
+{
+    const kernels::FrontierRunStats &a = x.stats;
+    const kernels::FrontierRunStats &b = y.stats;
+    if (a.iterations.size() != b.iterations.size()) return false;
+    for (std::size_t i = 0; i < a.iterations.size(); ++i) {
+        const kernels::FrontierIteration &p = a.iterations[i];
+        const kernels::FrontierIteration &q = b.iterations[i];
+        if (p.frontierNnz != q.frontierNnz || p.cycles != q.cycles ||
+            p.tasks != q.tasks || p.rowsSwitched != q.rowsSwitched)
+            return false;
+    }
+    return a.totalCycles == b.totalCycles && a.totalTasks == b.totalTasks &&
+           a.rowsSwitched == b.rowsSwitched && a.rounds == b.rounds &&
+           a.roundsSimulated == b.roundsSimulated &&
+           sameTraffic(a.traffic, b.traffic) &&
+           a.memoryCycles == b.memoryCycles &&
+           a.bwBoundRounds == b.bwBoundRounds &&
+           a.haloBytes == b.haloBytes && a.haloCycles == b.haloCycles &&
+           a.haloBoundRounds == b.haloBoundRounds &&
+           a.chipImbalance == b.chipImbalance &&
+           a.peakQueueDepth == b.peakQueueDepth &&
+           a.convergedRound == b.convergedRound && x.parent == y.parent &&
+           x.depth == y.depth && x.scores == y.scores;
+}
+
+FrontierOutcome
+runFrontier(const CscMatrix &a, bool pagerank, const std::string &policy,
+            int pes, int chips, EngineKind engine)
+{
+    AccelConfig cfg = makePolicyConfig(policy, pes, hopBase(findDataset("cora")));
+    cfg.engine = engine;
+    cfg.chips = chips;
+    FrontierOutcome out;
+    if (pagerank) {
+        kernels::PagerankRun run =
+            kernels::runPagerank(cfg, a, 0.85, 1e-6, /*maxIters=*/40);
+        out.stats = run.stats;
+        out.scores = run.result.scores;
+    } else {
+        kernels::BfsRun run = kernels::runBfs(cfg, a, /*source=*/0);
+        out.stats = run.stats;
+        out.parent = run.result.parent;
+        out.depth = run.result.depth;
+    }
+    return out;
+}
+
+/** `a` with every row id r relabelled to (r * mult) mod rows: the same
+ *  column extents (hence the same nnz per column) over different rows. */
+CscMatrix
+relabelRows(const CscMatrix &a)
+{
+    const Index n = a.rows();
+    Index mult = 7;
+    while (std::gcd(mult, n) != 1) ++mult;
+    std::vector<Index> row_id;
+    std::vector<Value> val;
+    for (Index j = 0; j < a.cols(); ++j) {
+        std::vector<std::pair<Index, Value>> col;
+        for (Count p = a.colPtr()[static_cast<std::size_t>(j)];
+             p < a.colPtr()[static_cast<std::size_t>(j) + 1]; ++p) {
+            const auto r = static_cast<std::int64_t>(
+                a.rowId()[static_cast<std::size_t>(p)]);
+            col.emplace_back(static_cast<Index>((r * mult) % n),
+                             a.val()[static_cast<std::size_t>(p)]);
+        }
+        std::sort(col.begin(), col.end());
+        for (const auto &[r, v] : col) {
+            row_id.push_back(r);
+            val.push_back(v);
+        }
+    }
+    return CscMatrix::fromParts(n, a.cols(), a.colPtr(), std::move(row_id),
+                                std::move(val));
 }
 
 SpmmStats
@@ -194,6 +298,112 @@ TEST(RoundStateCache, SharedReplayReproducesEveryStatBitForBit)
     EXPECT_GT(RoundStateCache::instance().hits(), hits_before);
     EXPECT_TRUE(sameStats(plain_event, replay_event));
     EXPECT_TRUE(sameStats(plain_batched, replay_batched));
+}
+
+TEST(RoundStateCache, FrontierKernelsReplayEveryStatBitForBit)
+{
+    CacheGuard guard;
+    RoundStateCache &cache = RoundStateCache::instance();
+    CscMatrix a =
+        loadSyntheticAdjacency(findDataset("cora"), /*seed=*/3, 0.5);
+    for (bool pagerank : {false, true}) {
+        for (const char *policy : {"baseline", "remote-d", "work-steal"}) {
+            for (int chips : {1, 2}) {
+                for (EngineKind engine :
+                     {EngineKind::Event, EngineKind::Batched}) {
+                    for (int pes : {16, 64}) {
+                        const std::string what =
+                            std::string(pagerank ? "pagerank " : "bfs ") +
+                            policy + " chips=" + std::to_string(chips) +
+                            " pes=" + std::to_string(pes) +
+                            (engine == EngineKind::Event ? " event"
+                                                         : " batched");
+                        cache.setEnabled(false);
+                        FrontierOutcome off = runFrontier(
+                            a, pagerank, policy, pes, chips, engine);
+                        cache.clear();
+                        cache.setEnabled(true);
+                        FrontierOutcome cold = runFrontier(
+                            a, pagerank, policy, pes, chips, engine);
+                        const std::uint64_t cold_hits = cache.hits();
+                        FrontierOutcome warm = runFrontier(
+                            a, pagerank, policy, pes, chips, engine);
+                        EXPECT_TRUE(sameOutcome(off, cold)) << what;
+                        EXPECT_TRUE(sameOutcome(off, warm)) << what;
+                        // Without a within-run memo, every SpGEMM round
+                        // counts as simulated, replayed or not.
+                        EXPECT_EQ(off.stats.roundsSimulated,
+                                  off.stats.rounds *
+                                      (chips == 1 ? 1 : chips))
+                            << what;
+                        // The warm run retraces the cold trajectory, so
+                        // every one of its rounds replays.
+                        EXPECT_EQ(cache.hits() - cold_hits,
+                                  static_cast<std::uint64_t>(
+                                      warm.stats.roundsSimulated))
+                            << what;
+                        // A static map repeats each PageRank iteration's
+                        // entry state and stream: even the cold run
+                        // replays every iteration after the first.
+                        if (pagerank &&
+                            std::string(policy) == "baseline") {
+                            EXPECT_GT(cold_hits, 0u) << what;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(RoundStateCache, SpgemmContextSeparatesRowSequenceAndKind)
+{
+    CacheGuard guard;
+    RoundStateCache &cache = RoundStateCache::instance();
+    const DatasetSpec &spec = findDataset("cora");
+    CscMatrix a = loadSyntheticAdjacency(spec, /*seed=*/3, 0.5);
+    // Same nnz in every column, different rows.
+    CscMatrix relabelled = relabelRows(a);
+    // A frontier holding every vertex expands every column of A, so its
+    // one round streams exactly A's CSC sequence, as an SPMM over A does.
+    std::vector<std::pair<Index, Value>> every;
+    for (Index v = 0; v < a.cols(); ++v) every.emplace_back(v, 1.0f);
+    const CscMatrix x = kernels::frontierVector(a.cols(), every);
+    Rng rng(3, /*seq=*/4);
+    DenseMatrix b(a.cols(), 1);
+    b.fillUniform(rng, -1.0f, 1.0f);
+
+    AccelConfig cfg = makePolicyConfig("baseline", 16, hopBase(spec));
+    const RowPartition start =
+        makePartitionPolicy(cfg)->build(a.rows(), a.rowNnz(), cfg);
+    // Every run enters its first round in the same state: this map, idle
+    // arbiters, parity 0. Only the cache context can tell them apart.
+    auto spgemm = [&](const CscMatrix &m) {
+        RowPartition part = start;
+        return SpmmEngine(cfg).executeSpgemm(m, x, part).stats;
+    };
+    auto spmm = [&](TdqKind kind) {
+        RowPartition part = start;
+        return SpmmEngine(cfg).execute(a, b, kind, part).stats;
+    };
+
+    const SpmmStats cold_a = spgemm(a);
+    const SpmmStats cold_relabelled = spgemm(relabelled);
+    const SpmmStats cold_tdq1 = spmm(TdqKind::Tdq1DenseScan);
+    const SpmmStats cold_tdq2 = spmm(TdqKind::Tdq2OmegaCsc);
+    // Replaying A's round in their place would be visible.
+    ASSERT_FALSE(sameStats(cold_a, cold_relabelled));
+    ASSERT_FALSE(sameStats(cold_a, cold_tdq1));
+
+    cache.setEnabled(true);
+    EXPECT_TRUE(sameStats(cold_a, spgemm(a)));  // warms the cache
+    ASSERT_EQ(cache.size(), 1u);
+    EXPECT_TRUE(sameStats(cold_relabelled, spgemm(relabelled)));
+    EXPECT_TRUE(sameStats(cold_tdq1, spmm(TdqKind::Tdq1DenseScan)));
+    EXPECT_TRUE(sameStats(cold_tdq2, spmm(TdqKind::Tdq2OmegaCsc)));
+    EXPECT_EQ(cache.hits(), 0u);  // no entry crossed contexts
+    EXPECT_TRUE(sameStats(cold_a, spgemm(a)));
+    EXPECT_EQ(cache.hits(), 1u);
 }
 
 // ------------------------------------------------- runner + utilization
