@@ -114,23 +114,37 @@ PerfModel::runSpmm(const std::vector<Count> &row_work, Index rounds,
         total_nnz, inner_dim > 0 ? inner_dim : partition.rows(),
         partition.rows());
     Count pending_migration_bytes = 0;
+    MigrationLedger ledger(partition);
 
+    // A round's compute outcome is a function of (row map, row work) and
+    // row work is fixed for the whole SPMM, so it is recomputed only when
+    // the map's stamp moved: every round of a static design and every
+    // round after a policy converged reuses the last one.
+    std::uint64_t outcome_version = 0;  // stamps are never 0
+    std::vector<Count> pe_work;
     std::vector<Count> served;
+    Count total = 0;
+    Cycle drain = 0;
+    Cycle inject = 0;
     for (Index k = 0; k < rounds; ++k) {
-        std::vector<Count> pe_work = partition.workload(row_work);
-        Count total = std::accumulate(pe_work.begin(), pe_work.end(),
-                                      Count(0));
-        Cycle no_share =
-            *std::max_element(pe_work.begin(), pe_work.end());
-        Cycle drain = balancedDrain(pe_work, cfg_.sharingHops, &served);
-        if (cfg_.sharingHops > 0) {
-            // Online greedy sharing pays an inefficiency over the optimal
-            // water-filling, but never loses to not sharing at all.
-            drain = std::min(no_share,
-                             static_cast<Cycle>(static_cast<double>(drain) *
-                                                kSharingInefficiency));
+        if (partition.version() != outcome_version) {
+            outcome_version = partition.version();
+            pe_work = partition.workload(row_work);
+            total = std::accumulate(pe_work.begin(), pe_work.end(),
+                                    Count(0));
+            const Cycle no_share =
+                *std::max_element(pe_work.begin(), pe_work.end());
+            drain = balancedDrain(pe_work, cfg_.sharingHops, &served);
+            if (cfg_.sharingHops > 0) {
+                // Online greedy sharing pays an inefficiency over the
+                // optimal water-filling, but never loses to not sharing
+                // at all.
+                drain = std::min(
+                    no_share, static_cast<Cycle>(static_cast<double>(drain) *
+                                                 kSharingInefficiency));
+            }
+            inject = (total + P - 1) / P;
         }
-        Cycle inject = (total + P - 1) / P;
         Cycle round_cycles = std::max(drain, inject) + overhead;
 
         // Roofline composition with the bandwidth-bound floor; rows the
@@ -166,14 +180,15 @@ PerfModel::runSpmm(const std::vector<Count> &row_work, Index rounds,
         if (k + 1 < rounds && rebalance->wantsObservations()) {
             // PESM ranks by home-attributed load (see SpmmEngine): the
             // switchable quantity is row ownership, not where sharing
-            // happened to execute the tasks.
+            // happened to execute the tasks. The policy observes every
+            // round, reused or not: it advances its own state (gap
+            // history, convergence counters) even when it moves nothing.
             RoundObservation obs;
-            obs.peWork = std::move(pe_work);
+            obs.peWork = pe_work;
             obs.drainCycle.assign(served.begin(), served.end());
-            std::vector<int> owners_before = partition.owners();
             rebalance->observeAndAdjust(obs, row_work, partition);
-            pending_migration_bytes = mem.migrationBytes(
-                owners_before, partition.owners(), row_work);
+            pending_migration_bytes =
+                ledger.bill(mem, partition, row_work);
         }
     }
 
@@ -217,6 +232,7 @@ PerfModel::runSpgemm(const CscMatrix &a, const CscMatrix &b,
     const std::vector<Count> row_work = a.rowNnz();
     const std::vector<Count> out_nnz = kernels::spgemmColumnNnz(a, b);
     Count pending_migration_bytes = 0;
+    MigrationLedger ledger(partition);
 
     std::vector<Count> row_work_k(static_cast<std::size_t>(a.rows()));
     std::vector<Count> served;
@@ -285,10 +301,8 @@ PerfModel::runSpgemm(const CscMatrix &a, const CscMatrix &b,
             RoundObservation obs;
             obs.peWork = std::move(pe_work);
             obs.drainCycle.assign(served.begin(), served.end());
-            std::vector<int> owners_before = partition.owners();
             rebalance->observeAndAdjust(obs, row_work, partition);
-            const Count mig = mem.migrationBytes(
-                owners_before, partition.owners(), row_work);
+            const Count mig = ledger.bill(mem, partition, row_work);
             if (k + 1 < K) {
                 pending_migration_bytes = mig;
             } else {

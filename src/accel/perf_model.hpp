@@ -75,7 +75,9 @@ class PerfModel
     explicit PerfModel(const AccelConfig &cfg);
 
     /**
-     * Model one SPMM.
+     * Model one SPMM. A round's compute outcome is recomputed only when
+     * the partition's version() moved since the last one (DESIGN.md §4);
+     * the policy still observes every round.
      *
      * @param row_work   tasks per sparse-operand row (its row-nnz)
      * @param rounds     dense-operand column count

@@ -35,6 +35,47 @@ class StaticMapPartition : public PartitionPolicy
 };
 
 /**
+ * Rows by descending work, ties by ascending row. A stable counting sort
+ * on the key (max work - work), one pass per 16-bit digit: row work is a
+ * per-row non-zero count, bounded by the operand's width, so operands
+ * narrower than 65,536 columns take one pass, and the bucket array never
+ * outgrows 2^16 entries whatever the input.
+ */
+std::vector<Index>
+heaviestFirst(Index rows, const std::vector<Count> &row_work)
+{
+    constexpr int kDigitBits = 16;
+    constexpr Count kDigitMask = (Count(1) << kDigitBits) - 1;
+    const auto n = static_cast<std::size_t>(rows);
+    Count max_work = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+        if (row_work[r] < 0) panic("DegreeSortedPartition: negative work");
+        max_work = std::max(max_work, row_work[r]);
+    }
+    std::vector<Index> order(n), next(n);
+    std::iota(order.begin(), order.end(), Index(0));
+    std::vector<std::size_t> start;
+    for (int shift = 0;; shift += kDigitBits) {
+        auto digit = [&](Index r) {
+            return static_cast<std::size_t>(
+                ((max_work - row_work[static_cast<std::size_t>(r)]) >>
+                 shift) &
+                kDigitMask);
+        };
+        start.assign(
+            static_cast<std::size_t>(
+                std::min(max_work >> shift, kDigitMask)) + 2,
+            0);
+        for (Index r : order) ++start[digit(r) + 1];
+        std::partial_sum(start.begin(), start.end(), start.begin());
+        for (Index r : order) next[start[digit(r)]++] = r;
+        order.swap(next);
+        if ((max_work >> shift) <= kDigitMask) break;
+    }
+    return order;
+}
+
+/**
  * Degree-sorted static partition: rows ordered by descending work and
  * greedily assigned to the least-loaded PE (LPT scheduling). A static
  * alternative to runtime rebalancing — near-perfect load balance when the
@@ -47,14 +88,7 @@ class DegreeSortedPartition : public PartitionPolicy
                        const AccelConfig &cfg) const override
     {
         const int P = cfg.numPes;
-        std::vector<Index> order(static_cast<std::size_t>(rows));
-        std::iota(order.begin(), order.end(), Index(0));
-        std::sort(order.begin(), order.end(), [&](Index a, Index b) {
-            Count wa = row_work[static_cast<std::size_t>(a)];
-            Count wb = row_work[static_cast<std::size_t>(b)];
-            if (wa != wb) return wa > wb;
-            return a < b;
-        });
+        const std::vector<Index> order = heaviestFirst(rows, row_work);
 
         // Min-heap of (load, pe); ties resolve to the lowest PE index so
         // the assignment is fully deterministic.

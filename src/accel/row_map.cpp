@@ -1,13 +1,30 @@
 #include "accel/row_map.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/log.hpp"
 
 namespace awb {
 
+namespace {
+
+/** Process-wide, so a map replaced by assignment cannot reuse a stamp
+ *  its predecessor held; sweep workers draw from it concurrently. */
+std::uint64_t
+nextVersion()
+{
+    static std::atomic<std::uint64_t> counter{0};
+    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+} // namespace
+
+RowPartition::RowPartition() : version_(nextVersion()) {}
+
 RowPartition::RowPartition(Index rows, int num_pes, RowMapPolicy policy)
-    : numPes_(num_pes), owner_(static_cast<std::size_t>(rows)),
+    : numPes_(num_pes), version_(nextVersion()),
+      owner_(static_cast<std::size_t>(rows)),
       rowsOf_(static_cast<std::size_t>(num_pes))
 {
     if (rows <= 0 || num_pes <= 0)
@@ -39,7 +56,7 @@ RowPartition::RowPartition(Index rows, int num_pes, RowMapPolicy policy)
 }
 
 RowPartition::RowPartition(std::vector<int> owner, int num_pes)
-    : numPes_(num_pes), owner_(std::move(owner))
+    : numPes_(num_pes), version_(nextVersion()), owner_(std::move(owner))
 {
     if (owner_.empty() || num_pes <= 0)
         fatal("RowPartition: rows and PEs must be positive");
@@ -62,6 +79,7 @@ RowPartition::moveRow(Index row, int to_pe)
     v.erase(std::find(v.begin(), v.end(), row));
     rowsOf_[static_cast<std::size_t>(to_pe)].push_back(row);
     owner_[static_cast<std::size_t>(row)] = to_pe;
+    version_ = nextVersion();
 }
 
 void

@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "accel/config.hpp"
@@ -16,11 +17,21 @@
 
 namespace awb {
 
-/** Ownership of sparse-operand rows (== result rows) by PEs. */
+/**
+ * Ownership of sparse-operand rows (== result rows) by PEs.
+ *
+ * Every map carries a version() stamp drawn from one process-wide
+ * counter: a fresh one at each construction and at each moveRow() that
+ * changes an owner. A copy keeps its source's stamp, so equal stamps
+ * mean equal maps, and replacing a map by assignment (`part =
+ * RowPartition(...)`) never repeats an old stamp. Consumers that derive
+ * O(rows) state from the map (the round-level model's per-PE work, the
+ * migration ledger) recompute it only when the stamp moves.
+ */
 class RowPartition
 {
   public:
-    RowPartition() = default;
+    RowPartition();
 
     /** Build the static initial mapping. */
     RowPartition(Index rows, int num_pes, RowMapPolicy policy);
@@ -42,13 +53,16 @@ class RowPartition
      *  its round memoization on this (DESIGN.md §6). */
     const std::vector<int> &owners() const { return owner_; }
 
+    /** This map's stamp (never 0); equal stamps mean equal maps. */
+    std::uint64_t version() const { return version_; }
+
     /** Rows currently owned by PE p (unsorted). */
     const std::vector<Index> &rowsOf(int pe) const
     {
         return rowsOf_[static_cast<std::size_t>(pe)];
     }
 
-    /** Reassign one row to a new PE. */
+    /** Reassign one row to a new PE; takes a new stamp if it moved. */
     void moveRow(Index row, int to_pe);
 
     /** Swap ownership of two row sets between two PEs (remote switching). */
@@ -67,6 +81,7 @@ class RowPartition
 
   private:
     int numPes_ = 0;
+    std::uint64_t version_;
     std::vector<int> owner_;
     std::vector<std::vector<Index>> rowsOf_;
 };

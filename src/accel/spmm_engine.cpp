@@ -172,6 +172,7 @@ class RoundStepper
           observeLast_(observe_last), sharer_(cfg.sharingHops),
           rebalance_(makeRebalancePolicy(cfg, partition.rows())),
           mem_(findPlatform(cfg.platform), policyClockMhz(cfg)),
+          ledger_(partition),
           net_(std::max(cfg.numPes, 2), cfg.omegaBufferDepth,
                cfg.networkSpeedup),
           injectWidth_(cfg.injectWidth > 0 ? cfg.injectWidth
@@ -297,18 +298,12 @@ class RoundStepper
         // The policy digests the same observation whether the round was
         // stepped or replayed, so tuning trajectories are engine- and
         // cache-invariant. Rows it moves must migrate between the PEs'
-        // banks before the next round streams them; static policies
-        // never move rows, so skip the owner snapshot for them.
+        // banks before the next round streams them.
         RoundObservation obs;
         obs.peWork = rec.homeTasks;
         obs.drainCycle = rec.drainCycle;
-        std::vector<int> owners_before;
-        if (rebalance_->wantsObservations())
-            owners_before = partition_.owners();
         rebalance_->observeAndAdjust(obs, rowWork_, partition_);
-        if (owners_before.empty()) return;
-        const Count mig = mem_.migrationBytes(
-            owners_before, partition_.owners(), rowWork_);
+        const Count mig = ledger_.bill(mem_, partition_, rowWork_);
         if (last)
             stats_.traffic.migrationBytes += mig;  // no next round's floor
         else
@@ -509,6 +504,7 @@ class RoundStepper
     LocalSharer sharer_;
     std::unique_ptr<RebalancePolicy> rebalance_;
     const MemoryModel mem_;
+    MigrationLedger ledger_;
     OmegaNetwork net_;
     const int injectWidth_;
     std::vector<Value> acc_;

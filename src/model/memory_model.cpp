@@ -123,6 +123,17 @@ MemoryModel::migrationBytes(const std::vector<int> &owners_before,
     return bytes;
 }
 
+Count
+MigrationLedger::bill(const MemoryModel &mem, const RowPartition &now,
+                      const std::vector<Count> &row_work)
+{
+    if (now.version() == version_) return 0;
+    const Count bytes = mem.migrationBytes(owners_, now.owners(), row_work);
+    owners_ = now.owners();
+    version_ = now.version();
+    return bytes;
+}
+
 Cycle
 MemoryModel::floorCycles(Count bytes) const
 {

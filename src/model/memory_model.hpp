@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "accel/row_map.hpp"
 #include "common/types.hpp"
 
 namespace awb {
@@ -166,6 +167,31 @@ class MemoryModel
     PlatformSpec platform_;
     double bytesPerCycle_ = 0.0;
     double linkBytesPerCycle_ = 0.0;
+};
+
+/**
+ * Bills row migration over one run's successive row maps (DESIGN.md §8).
+ * Holds the map it last billed and that map's RowPartition::version()
+ * stamp: a bill after a round whose policy moved nothing costs O(1), one
+ * after a round that moved rows costs one migrationBytes() diff. Both
+ * fidelities bill through it after every rebalance observation.
+ */
+class MigrationLedger
+{
+  public:
+    /** Start from the map the run begins with. */
+    explicit MigrationLedger(const RowPartition &start)
+        : owners_(start.owners()), version_(start.version())
+    {}
+
+    /** Bytes to migrate the rows whose owner changed since the last
+     *  bill; `now` becomes the billed map. */
+    Count bill(const MemoryModel &mem, const RowPartition &now,
+               const std::vector<Count> &row_work);
+
+  private:
+    std::vector<int> owners_;
+    std::uint64_t version_;
 };
 
 } // namespace awb

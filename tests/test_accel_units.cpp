@@ -81,6 +81,38 @@ TEST(RowPartition, MoveAndWorkload)
     EXPECT_TRUE(part.consistent());
 }
 
+TEST(RowPartition, VersionMovesExactlyWhenTheMapChanges)
+{
+    RowPartition part(8, 2, RowMapPolicy::Blocked);
+    const auto v0 = part.version();
+    EXPECT_NE(v0, 0u);
+    part.moveRow(0, 0);  // already owned by PE 0
+    EXPECT_EQ(part.version(), v0);
+    part.moveRow(0, 1);
+    const auto v1 = part.version();
+    EXPECT_NE(v1, v0);
+    part.swapRows({0}, {1}, 1, 0);
+    EXPECT_NE(part.version(), v1);
+
+    // A copy is the same map, so it keeps the stamp.
+    const RowPartition copy = part;
+    EXPECT_EQ(copy.version(), part.version());
+    EXPECT_EQ(copy.owners(), part.owners());
+
+    // Identical content built twice is still two histories.
+    const RowPartition a(8, 2, RowMapPolicy::Blocked);
+    const RowPartition b(8, 2, RowMapPolicy::Blocked);
+    EXPECT_EQ(a.owners(), b.owners());
+    EXPECT_NE(a.version(), b.version());
+
+    // Replacing a map by assignment (the rechunk/rescratch idiom) never
+    // repeats the stamp the replaced map held.
+    const auto before = part.version();
+    part = RowPartition(std::vector<int>{0, 0, 0, 0, 1, 1, 1, 1}, 2);
+    EXPECT_NE(part.version(), before);
+    EXPECT_NE(part.version(), a.version());
+}
+
 TEST(RowPartition, SwapRows)
 {
     RowPartition part(8, 2, RowMapPolicy::Blocked);

@@ -1,6 +1,7 @@
 /**
  * @file
  * Tests for the round-level performance model: the water-filling bound,
+ * round-outcome reuse against a recompute-every-round reference,
  * cross-validation against the cycle-accurate engine (the two fidelities
  * must agree on cycles and utilization within tolerance), full-scale
  * tractability, and the area/energy/platform models.
@@ -8,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "accel/gcn_accel.hpp"
 #include "accel/perf_model.hpp"
+#include "accel/policy.hpp"
 #include "accel/spmm_engine.hpp"
 #include "common/rng.hpp"
 #include "gcn/ops_count.hpp"
@@ -64,6 +69,193 @@ TEST(BalancedDrain, ServedConservesWork)
         EXPECT_LE(s, t);
     }
     EXPECT_EQ(total, 28);
+}
+
+namespace {
+
+/**
+ * The round loop of PerfModel::runSpmm as it was before rounds were
+ * reused: every round recomputes the per-PE work, drain and injection
+ * from the live map, and migration is billed by diffing an owner
+ * snapshot taken around each observation. Kept here only as the
+ * reference the reusing model must match field for field.
+ */
+PerfSpmmResult
+naiveRunSpmm(const AccelConfig &cfg, const std::vector<Count> &row_work,
+             Index rounds, RowPartition &partition, Index inner_dim)
+{
+    const int P = cfg.numPes;
+    PerfSpmmResult res;
+    res.rounds = rounds;
+    std::unique_ptr<RebalancePolicy> rebalance =
+        makeRebalancePolicy(cfg, partition.rows());
+    res.perPeTasks.assign(static_cast<std::size_t>(P), 0);
+    int log2p = 0;
+    while ((1 << log2p) < P) ++log2p;
+    const Cycle overhead = cfg.macLatency + log2p + 2;
+    const MemoryModel mem(findPlatform(cfg.platform), policyClockMhz(cfg));
+    const Count total_nnz =
+        std::accumulate(row_work.begin(), row_work.end(), Count(0));
+    const MemoryTraffic steady = mem.roundTraffic(
+        total_nnz, inner_dim > 0 ? inner_dim : partition.rows(),
+        partition.rows());
+    Count pending = 0;
+    std::vector<Count> served;
+    for (Index k = 0; k < rounds; ++k) {
+        std::vector<Count> pe_work = partition.workload(row_work);
+        const Count total =
+            std::accumulate(pe_work.begin(), pe_work.end(), Count(0));
+        const Cycle no_share =
+            *std::max_element(pe_work.begin(), pe_work.end());
+        Cycle drain =
+            PerfModel::balancedDrain(pe_work, cfg.sharingHops, &served);
+        if (cfg.sharingHops > 0)
+            drain = std::min(no_share, static_cast<Cycle>(
+                                           static_cast<double>(drain) * 1.15));
+        const Cycle inject = (total + P - 1) / P;
+        Cycle round_cycles = std::max(drain, inject) + overhead;
+        MemoryTraffic traffic = steady;
+        traffic.migrationBytes = pending;
+        pending = 0;
+        res.traffic += traffic;
+        const Cycle floor = mem.floorCycles(traffic.total());
+        res.memoryCycles += floor;
+        if (floor > round_cycles) {
+            ++res.bwBoundRounds;
+            round_cycles = floor;
+        }
+        res.roundCycles.push_back(round_cycles);
+        res.cycles += round_cycles;
+        res.tasks += total;
+        res.idealCycles += inject;
+        for (int p = 0; p < P; ++p) {
+            res.perPeTasks[static_cast<std::size_t>(p)] +=
+                served[static_cast<std::size_t>(p)];
+            const Count backlog = served[static_cast<std::size_t>(p)] - inject;
+            if (backlog > 0)
+                res.peakQueueDepth = std::max(
+                    res.peakQueueDepth, static_cast<std::size_t>(backlog));
+        }
+        if (k + 1 < rounds && rebalance->wantsObservations()) {
+            RoundObservation obs;
+            obs.peWork = std::move(pe_work);
+            obs.drainCycle.assign(served.begin(), served.end());
+            const std::vector<int> before = partition.owners();
+            rebalance->observeAndAdjust(obs, row_work, partition);
+            pending =
+                mem.migrationBytes(before, partition.owners(), row_work);
+        }
+    }
+    res.peakQueueDepth = std::max<std::size_t>(
+        res.peakQueueDepth, static_cast<std::size_t>(cfg.numQueuesPerPe));
+    res.syncCycles = std::max<Cycle>(0, res.cycles - res.idealCycles);
+    res.utilization = res.cycles > 0
+        ? static_cast<double>(res.tasks) /
+          (static_cast<double>(P) * static_cast<double>(res.cycles))
+        : 0.0;
+    res.rowsSwitched = rebalance->totalRowsMoved();
+    res.convergedRound = rebalance->convergedRound();
+    return res;
+}
+
+/** Heavy-tailed row work with zero-work rows and a hot leading block. */
+std::vector<Count>
+skewedRowWork(Index rows)
+{
+    std::vector<Count> w(static_cast<std::size_t>(rows));
+    for (Index r = 0; r < rows; ++r) {
+        Count v = (r * 7919) % 9;  // 0..8, zeros included
+        if (r % 97 == 0) v += 300 + r % 13;
+        if (r < rows / 16) v += 40;
+        w[static_cast<std::size_t>(r)] = v;
+    }
+    return w;
+}
+
+void
+expectSameResult(const PerfSpmmResult &got, const PerfSpmmResult &want)
+{
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.tasks, want.tasks);
+    EXPECT_EQ(got.idealCycles, want.idealCycles);
+    EXPECT_EQ(got.syncCycles, want.syncCycles);
+    EXPECT_EQ(got.utilization, want.utilization);
+    EXPECT_EQ(got.rounds, want.rounds);
+    EXPECT_EQ(got.rowsSwitched, want.rowsSwitched);
+    EXPECT_EQ(got.convergedRound, want.convergedRound);
+    EXPECT_EQ(got.peakQueueDepth, want.peakQueueDepth);
+    EXPECT_EQ(got.traffic.sparseBytes, want.traffic.sparseBytes);
+    EXPECT_EQ(got.traffic.denseBytes, want.traffic.denseBytes);
+    EXPECT_EQ(got.traffic.outputBytes, want.traffic.outputBytes);
+    EXPECT_EQ(got.traffic.migrationBytes, want.traffic.migrationBytes);
+    EXPECT_EQ(got.traffic.haloBytes, want.traffic.haloBytes);
+    EXPECT_EQ(got.traffic.bRowBytes, want.traffic.bRowBytes);
+    EXPECT_EQ(got.traffic.outputIndexBytes, want.traffic.outputIndexBytes);
+    EXPECT_EQ(got.memoryCycles, want.memoryCycles);
+    EXPECT_EQ(got.bwBoundRounds, want.bwBoundRounds);
+    EXPECT_EQ(got.roundCycles, want.roundCycles);
+    EXPECT_EQ(got.perPeTasks, want.perPeTasks);
+}
+
+} // namespace
+
+/** Reusing a round's outcome while the map's stamp holds must reproduce
+ *  the recompute-every-round loop exactly, for every registered policy
+ *  (rechunk and rescratch replace the whole map by assignment), with
+ *  and without local sharing, with and without migration billing. */
+TEST(PerfModel, RoundReuseMatchesRecomputeEveryRound)
+{
+    const auto cora = loadProfile(findDataset("cora"), 1, 1.0);
+    const auto citeseer = loadProfile(findDataset("citeseer"), 1, 1.0);
+    struct Work
+    {
+        const char *name;
+        std::vector<Count> rowWork;
+        Index innerDim;
+    };
+    const Work works[] = {
+        {"skewed", skewedRowWork(3000), 0},
+        {"cora-A", cora.aRowNnz, 0},
+        {"citeseer-X1", citeseer.x1RowNnz, citeseer.spec.f1},
+    };
+    constexpr Index kRounds = 48;
+    Count migration = 0;
+    Count moved = 0;
+    for (const BalancePolicy *policy : PolicyRegistry::instance().all()) {
+        for (int pes : {16, 64}) {
+            for (int hops : {0, 2}) {
+                for (const char *platform : {"unconstrained", "d5005-ddr4"}) {
+                    for (const Work &w : works) {
+                        AccelConfig cfg = makePolicyConfig(policy->name, pes);
+                        if (hops > 0) cfg.sharingHops = hops;
+                        cfg.platform = platform;
+                        const Index rows =
+                            static_cast<Index>(w.rowWork.size());
+                        const RowPartition start =
+                            makePartitionPolicy(cfg)->build(rows, w.rowWork,
+                                                            cfg);
+                        RowPartition ref_part = start;
+                        RowPartition got_part = start;
+                        const PerfSpmmResult want = naiveRunSpmm(
+                            cfg, w.rowWork, kRounds, ref_part, w.innerDim);
+                        const PerfSpmmResult got = PerfModel(cfg).runSpmm(
+                            w.rowWork, kRounds, got_part, w.innerDim);
+                        SCOPED_TRACE(policy->name + " P=" +
+                                     std::to_string(pes) + " hops=" +
+                                     std::to_string(cfg.sharingHops) + " " +
+                                     platform + " " + w.name);
+                        expectSameResult(got, want);
+                        EXPECT_EQ(got_part.owners(), ref_part.owners());
+                        migration += got.traffic.migrationBytes;
+                        moved += got.rowsSwitched;
+                    }
+                }
+            }
+        }
+    }
+    // The grid exercises migration billing, not just static maps.
+    EXPECT_GT(moved, 0);
+    EXPECT_GT(migration, 0);
 }
 
 namespace {

@@ -400,6 +400,72 @@ TEST(DegreeSortedPartition, BalancesAtLeastAsWellAsBlocked)
               *std::min_element(w.begin(), w.end()));
 }
 
+namespace {
+
+/** The LPT assignment over a std::sort heaviest-first order (ties by
+ *  ascending row): the order DegreeSortedPartition's counting sort must
+ *  keep. */
+std::vector<int>
+referenceLpt(const std::vector<Count> &work, int pes)
+{
+    std::vector<Index> order(work.size());
+    std::iota(order.begin(), order.end(), Index(0));
+    std::sort(order.begin(), order.end(), [&](Index a, Index b) {
+        const Count wa = work[static_cast<std::size_t>(a)];
+        const Count wb = work[static_cast<std::size_t>(b)];
+        return wa != wb ? wa > wb : a < b;
+    });
+    std::vector<Count> load(static_cast<std::size_t>(pes), 0);
+    std::vector<int> owner(work.size(), 0);
+    for (Index r : order) {
+        const auto pe = static_cast<std::size_t>(
+            std::min_element(load.begin(), load.end()) - load.begin());
+        owner[static_cast<std::size_t>(r)] = static_cast<int>(pe);
+        load[pe] += work[static_cast<std::size_t>(r)];
+    }
+    return owner;
+}
+
+} // namespace
+
+TEST(DegreeSortedPartition, KeepsTheComparatorSortOrder)
+{
+    const auto cora = loadProfile(findDataset("cora"), 1, 1.0);
+    std::vector<Count> ties(40, 3);  // all tied: ascending row order
+    std::vector<Count> zeros(40, 0);
+    for (std::size_t r = 0; r < zeros.size(); r += 5) zeros[r] = 2;
+    std::vector<Count> heavy(500);
+    for (std::size_t r = 0; r < heavy.size(); ++r)
+        heavy[r] = static_cast<Count>((r * 31) % 7);
+    heavy[321] = Count(1) << 40;  // multi-digit key range
+    heavy[17] = 70000;            // above one 16-bit digit
+    const std::vector<std::pair<std::vector<Count>, int>> cases = {
+        {ties, 8},
+        {zeros, 8},
+        {{5, 0, 9}, 8},  // fewer rows than PEs
+        {{4, 4, 1, 9, 4, 0, 9}, 3},
+        {heavy, 16},
+        {cora.aRowNnz, 64},
+        {cora.x1RowNnz, 256},
+    };
+    for (const auto &[work, pes] : cases) {
+        AccelConfig cfg = makePolicyConfig("degree-sorted", pes);
+        const RowPartition part = makePartitionPolicy(cfg)->build(
+            static_cast<Index>(work.size()), work, cfg);
+        EXPECT_TRUE(part.consistent());
+        EXPECT_EQ(part.owners(), referenceLpt(work, pes))
+            << work.size() << " rows over " << pes << " PEs";
+    }
+}
+
+TEST(DegreeSortedPartitionDeath, NegativeWorkPanics)
+{
+    AccelConfig cfg = makePolicyConfig("degree-sorted", 4);
+    const std::vector<Count> work = {3, -1, 2};
+    EXPECT_DEATH(makePartitionPolicy(cfg)->build(3, work, cfg),
+                 "negative work");
+}
+
 TEST(WorkStealPolicy, ClosesTheGapAndConverges)
 {
     AccelConfig cfg = makePolicyConfig("work-steal", 8);
