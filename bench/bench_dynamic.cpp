@@ -1,30 +1,31 @@
 /**
  * @file
- * Implementation of `awbsim --bench-dynamic` (driver/bench_dynamic.hpp):
- * the dynamic-graph streaming benchmark producing the tracked
- * BENCH_dynamic.json document. See DESIGN.md §12 for the churn model,
- * the slack-slot incremental CSR and the convergence-half-life
- * methodology the gates here enforce.
+ * `awbsim --bench-dynamic`: the dynamic-graph streaming benchmark
+ * (BENCH_dynamic.json). Runs churn-gcn epochs (DESIGN.md §12) on each
+ * dataset, once per balance policy, and records the per-epoch
+ * carried-vs-fresh drift curve plus the convergence half-life — the
+ * first epoch at which a carried partition's cycles drift past the
+ * tolerance relative to a freshly tuned one. Four gates: determinism
+ * (two event runs agree), engine equivalence (batched == event),
+ * rebuild identity (the DeltaCsr-maintained matrix after every batch
+ * bit-equals a from-scratch rebuild of the live edge set) and
+ * trajectory agreement (the round-level model's per-epoch
+ * churn/migration trajectory equals the cycle engine's — epoch
+ * boundaries are fidelity-independent).
  */
-
-#include "driver/bench_dynamic.hpp"
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <unordered_map>
 
 #include "accel/policy.hpp"
-#include "common/log.hpp"
 #include "common/table.hpp"
-#include "driver/json.hpp"
-#include "driver/scenario.hpp"
+#include "driver/bench_harness.hpp"
 #include "dynamic/dynamic_runner.hpp"
 #include "exec/workload_cache.hpp"
 #include "graph/datasets.hpp"
-#include "sparse/coo.hpp"
 #include "sparse/convert.hpp"
+#include "sparse/coo.hpp"
 
 namespace awb::driver {
 
@@ -38,24 +39,6 @@ using dynamic::DynamicOptions;
 using dynamic::DynamicRunStats;
 using dynamic::EdgeChurnStream;
 using dynamic::EdgeEvent;
-
-/** One dataset × policy point of the benchmark. */
-struct DynamicPoint
-{
-    std::string dataset;
-    std::string policy;
-    Count epochs = 0;
-    Cycle cycles = 0;       ///< summed carried-partition epoch cycles
-    Count tasks = 0;
-    Count rowsMoved = 0;
-    Count rowsChanged = 0;
-    Count halfLifeEpochs = -1;
-    std::vector<double> drift;       ///< per-epoch carried/fresh - 1
-    std::vector<Cycle> epochCycles;  ///< per-epoch carried cycles
-    std::vector<Cycle> freshCycles;  ///< per-epoch fresh-tune cycles
-    Count bytesTotal = 0;
-    double wallMs = 0.0;
-};
 
 bool
 sameRun(const DynamicRunStats &x, const DynamicRunStats &y)
@@ -138,238 +121,177 @@ rebuildIdentical(const CscMatrix &initial, const ChurnParams &churn,
     return true;
 }
 
-} // namespace
-
-int
-runBenchDynamic(const BenchDynamicOptions &opts)
+void
+runDynamic(const BenchArgs &a, BenchReport &report)
 {
-    std::vector<std::string> policies;
-    for (const auto &p : opts.policies)
-        policies.push_back(PolicyRegistry::instance().get(p).name);
+    const std::uint64_t seed = a.uinteger("--seed");
+    const double scale = a.real("--scale");
+    std::vector<std::string> policies = a.items("--policies");
     if (std::find(policies.begin(), policies.end(), "baseline") ==
         policies.end())
         policies.insert(policies.begin(), "baseline");
 
     ChurnParams churn;
-    churn.insertFrac = opts.insertFrac;
-    churn.seed = opts.seed;
+    churn.insertFrac = a.real("--insert-frac");
+    churn.seed = seed;
 
     DynamicOptions dopts;
-    dopts.epochs = opts.epochs;
-    dopts.eventsPerEpoch = opts.eventsPerEpoch;
-    dopts.denseCols = opts.denseCols;
-    dopts.driftTolerance = opts.driftTolerance;
+    dopts.epochs = a.integer("--epochs");
+    dopts.eventsPerEpoch = a.integer("--events");
+    dopts.denseCols = a.integer("--dense-cols");
+    dopts.driftTolerance = a.real("--drift-tol");
     dopts.fidelity = DynamicFidelity::Cycle;
-    dopts.seed = opts.seed;
+    dopts.seed = seed;
 
     bool deterministic = true;
     bool engines_identical = true;
     bool rebuild_identical = true;
     bool trajectory_ok = true;
-    std::vector<DynamicPoint> points;
+    Json points = Json::array();
+    Json half_life = Json::object();
 
     Table t({"dataset", "design", "epochs", "cycles", "moved",
              "end drift", "half-life"});
-    for (const auto &dataset : opts.datasets) {
+    for (const auto &dataset : a.items("--datasets")) {
         const DatasetSpec &spec = findDataset(dataset);
-        const auto a_p = exec::cachedAdjacency(spec, opts.seed, opts.scale);
-        const CscMatrix &a = *a_p;
+        const auto a_p = exec::cachedAdjacency(spec, seed, scale);
+        const CscMatrix &adj = *a_p;
 
-        // Gate 3: the incremental matrix equals a from-scratch rebuild
-        // after every batch (policy-independent, once per dataset).
-        if (!rebuildIdentical(a, churn, opts.epochs, opts.eventsPerEpoch))
+        // Policy-independent, so once per dataset.
+        if (!rebuildIdentical(adj, churn, dopts.epochs,
+                              dopts.eventsPerEpoch))
             rebuild_identical = false;
 
+        Json &per_policy = half_life[dataset] = Json::object();
         for (const auto &policy : policies) {
             AccelConfig cfg =
-                makePolicyConfig(policy, opts.pes, hopBase(spec));
-            cfg.platform = opts.platform;
+                makePolicyConfig(policy, a.integer("--pes"), hopBase(spec));
+            cfg.platform = a.str("--platform");
             cfg.engine = EngineKind::Event;
 
             auto t0 = std::chrono::steady_clock::now();
-            DynamicRunStats ev = dynamic::runChurnGcn(cfg, a, churn, dopts);
+            DynamicRunStats ev = dynamic::runChurnGcn(cfg, adj, churn, dopts);
             auto t1 = std::chrono::steady_clock::now();
 
-            // Gate 1: a second event run must reproduce the first.
-            DynamicRunStats again =
-                dynamic::runChurnGcn(cfg, a, churn, dopts);
-            if (!sameRun(ev, again)) deterministic = false;
-
-            // Gate 2: the batched engine must match the event engine.
+            if (!sameRun(ev, dynamic::runChurnGcn(cfg, adj, churn, dopts)))
+                deterministic = false;
             AccelConfig bcfg = cfg;
             bcfg.engine = EngineKind::Batched;
-            DynamicRunStats bat =
-                dynamic::runChurnGcn(bcfg, a, churn, dopts);
-            if (!sameRun(ev, bat)) engines_identical = false;
-
-            // Gate 4: the round-level model walks the same epoch
-            // trajectory (churn counts, work deltas, migrations).
+            if (!sameRun(ev, dynamic::runChurnGcn(bcfg, adj, churn, dopts)))
+                engines_identical = false;
             DynamicOptions mopts = dopts;
             mopts.fidelity = DynamicFidelity::Model;
-            DynamicRunStats mod =
-                dynamic::runChurnGcn(cfg, a, churn, mopts);
-            if (!sameTrajectory(ev, mod)) trajectory_ok = false;
+            if (!sameTrajectory(
+                    ev, dynamic::runChurnGcn(cfg, adj, churn, mopts)))
+                trajectory_ok = false;
 
-            DynamicPoint pt;
-            pt.dataset = spec.name;
-            pt.policy = policy;
-            pt.epochs = static_cast<Count>(ev.epochs.size());
-            pt.cycles = ev.totalCycles;
-            pt.tasks = ev.totalTasks;
-            pt.rowsMoved = ev.rowsMoved;
-            pt.rowsChanged = ev.rowsChanged;
-            pt.halfLifeEpochs = ev.halfLifeEpochs;
+            std::vector<double> drift;
+            std::vector<Cycle> epoch_cycles, fresh_cycles;
             for (const auto &e : ev.epochs) {
-                pt.drift.push_back(e.drift);
-                pt.epochCycles.push_back(e.cycles);
-                pt.freshCycles.push_back(e.freshCycles);
+                drift.push_back(e.drift);
+                epoch_cycles.push_back(e.cycles);
+                fresh_cycles.push_back(e.freshCycles);
             }
-            pt.bytesTotal = ev.traffic.total();
-            pt.wallMs =
-                std::chrono::duration<double, std::milli>(t1 - t0).count();
-
-            t.addRow({pt.dataset,
-                      PolicyRegistry::instance().get(pt.policy).label,
-                      std::to_string(pt.epochs),
-                      humanCount(static_cast<double>(pt.cycles)),
-                      std::to_string(pt.rowsMoved),
-                      fixed(pt.drift.empty() ? 0.0 : pt.drift.back(), 3),
-                      pt.halfLifeEpochs < 0
+            t.addRow({dataset, PolicyRegistry::instance().get(policy).label,
+                      std::to_string(ev.epochs.size()),
+                      humanCount(static_cast<double>(ev.totalCycles)),
+                      std::to_string(ev.rowsMoved),
+                      fixed(drift.empty() ? 0.0 : drift.back(), 3),
+                      ev.halfLifeEpochs < 0
                           ? "never"
-                          : std::to_string(pt.halfLifeEpochs)});
-            points.push_back(std::move(pt));
+                          : std::to_string(ev.halfLifeEpochs)});
+            Json p = Json::object();
+            p.set("dataset", dataset);
+            p.set("policy", policy);
+            p.set("epochs", static_cast<Count>(ev.epochs.size()));
+            p.set("cycles", ev.totalCycles);
+            p.set("tasks", ev.totalTasks);
+            p.set("rows_moved", ev.rowsMoved);
+            p.set("rows_changed", ev.rowsChanged);
+            p.set("half_life_epochs", ev.halfLifeEpochs);
+            p.set("drift", jsonArray(drift));
+            p.set("epoch_cycles", jsonArray(epoch_cycles));
+            p.set("fresh_cycles", jsonArray(fresh_cycles));
+            p.set("bytes_total", ev.traffic.total());
+            p.set("wall_ms",
+                  std::chrono::duration<double, std::milli>(t1 - t0)
+                      .count());
+            points.push(std::move(p));
+            per_policy.set(policy, ev.halfLifeEpochs);
         }
     }
-    std::printf("%s", t.render().c_str());
+    report.table = t.render();
+    report.gates = {
+        {"deterministic", deterministic,
+         "a second event run diverged from the first"},
+        {"engines_identical", engines_identical,
+         "the batched engine diverged from the event engine"},
+        {"rebuild_identical", rebuild_identical,
+         "the incremental matrix differs from a from-scratch rebuild"},
+        {"trajectory_ok", trajectory_ok,
+         "the round-level model walked a different epoch trajectory"},
+    };
 
-    Json doc = Json::object();
-    doc.set("schema", "awbsim-bench-dynamic-v1");
-    doc.set("pes", opts.pes);
-    doc.set("seed", opts.seed);
-    doc.set("scale", opts.scale);
-    doc.set("epochs", opts.epochs);
-    doc.set("events_per_epoch", opts.eventsPerEpoch);
-    doc.set("dense_cols", opts.denseCols);
-    doc.set("insert_frac", opts.insertFrac);
-    doc.set("drift_tolerance", opts.driftTolerance);
-    doc.set("platform", opts.platform);
-    Json jpoints = Json::array();
-    for (const auto &pt : points) {
-        Json p = Json::object();
-        p.set("dataset", pt.dataset);
-        p.set("policy", pt.policy);
-        p.set("epochs", pt.epochs);
-        p.set("cycles", pt.cycles);
-        p.set("tasks", pt.tasks);
-        p.set("rows_moved", pt.rowsMoved);
-        p.set("rows_changed", pt.rowsChanged);
-        p.set("half_life_epochs", pt.halfLifeEpochs);
-        Json drift = Json::array();
-        for (double d : pt.drift) drift.push(d);
-        p.set("drift", std::move(drift));
-        Json epoch_cycles = Json::array();
-        for (Cycle c : pt.epochCycles) epoch_cycles.push(c);
-        p.set("epoch_cycles", std::move(epoch_cycles));
-        Json fresh_cycles = Json::array();
-        for (Cycle c : pt.freshCycles) fresh_cycles.push(c);
-        p.set("fresh_cycles", std::move(fresh_cycles));
-        p.set("bytes_total", pt.bytesTotal);
-        p.set("wall_ms", pt.wallMs);
-        jpoints.push(std::move(p));
-    }
-    doc.set("points", std::move(jpoints));
+    Json &doc = report.doc;
+    doc.set("pes", a.integer("--pes"));
+    doc.set("seed", seed);
+    doc.set("scale", scale);
+    doc.set("epochs", dopts.epochs);
+    doc.set("events_per_epoch", dopts.eventsPerEpoch);
+    doc.set("dense_cols", dopts.denseCols);
+    doc.set("insert_frac", churn.insertFrac);
+    doc.set("drift_tolerance", dopts.driftTolerance);
+    doc.set("platform", a.str("--platform"));
+    doc.set("points", std::move(points));
     Json summary = Json::object();
-    summary.set("deterministic", deterministic);
-    summary.set("engines_identical", engines_identical);
-    summary.set("rebuild_identical", rebuild_identical);
-    summary.set("trajectory_ok", trajectory_ok);
-    Json half_life = Json::object();
-    for (const auto &dataset : opts.datasets) {
-        Json per = Json::object();
-        for (const auto &pt : points)
-            if (pt.dataset == dataset)
-                per.set(pt.policy, pt.halfLifeEpochs);
-        half_life.set(dataset, std::move(per));
-    }
+    setGateFields(summary, report.gates);
     summary.set("half_life", std::move(half_life));
     doc.set("summary", std::move(summary));
-
-    std::string rendered = doc.dump(2);
-    if (opts.jsonPath == "-") {
-        std::printf("%s", rendered.c_str());
-    } else {
-        std::ofstream f(opts.jsonPath);
-        if (!f) fatal("cannot write " + opts.jsonPath);
-        f << rendered;
-        std::printf("bench-dynamic JSON written to %s\n",
-                    opts.jsonPath.c_str());
-    }
-
-    if (!deterministic || !engines_identical || !rebuild_identical ||
-        !trajectory_ok) {
-        std::fprintf(stderr,
-                     "bench-dynamic: GATE FAILED — deterministic=%d "
-                     "engines_identical=%d rebuild_identical=%d "
-                     "trajectory_ok=%d\n",
-                     deterministic ? 1 : 0, engines_identical ? 1 : 0,
-                     rebuild_identical ? 1 : 0, trajectory_ok ? 1 : 0);
-        return 1;
-    }
-    return 0;
 }
 
-int
-runBenchDynamicCli(int argc, char **argv, int first)
+} // namespace
+
+BenchSpec
+dynamicBench()
 {
-    BenchDynamicOptions opts;
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto need = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) fatal(std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (a == "--datasets") {
-            opts.datasets = splitCsv(need("--datasets"));
-        } else if (a == "--policies" || a == "--designs") {
-            opts.policies.clear();
-            for (const auto &p : splitCsv(need("--policies")))
-                opts.policies.push_back(
-                    PolicyRegistry::instance().get(p).name);
-        } else if (a == "--pes") {
-            opts.pes = parseInt("--pes", need("--pes"));
-        } else if (a == "--epochs") {
-            opts.epochs = parseInt("--epochs", need("--epochs"));
-        } else if (a == "--events") {
-            opts.eventsPerEpoch = parseInt("--events", need("--events"));
-        } else if (a == "--dense-cols") {
-            opts.denseCols =
-                parseInt("--dense-cols", need("--dense-cols"));
-        } else if (a == "--insert-frac") {
-            opts.insertFrac =
-                parseDouble("--insert-frac", need("--insert-frac"));
-        } else if (a == "--drift-tol") {
-            opts.driftTolerance =
-                parseDouble("--drift-tol", need("--drift-tol"));
-        } else if (a == "--seed") {
-            opts.seed = parseUint("--seed", need("--seed"));
-        } else if (a == "--scale") {
-            opts.scale = parseDouble("--scale", need("--scale"));
-        } else if (a == "--platform") {
-            opts.platform = findPlatform(need("--platform")).name;
-        } else if (a == "--json") {
-            opts.jsonPath = need("--json");
-        } else {
-            fatal("unknown bench-dynamic flag: " + a);
-        }
-    }
-    if (opts.pes < 1) fatal("--pes must be >= 1");
-    if (opts.policies.empty()) fatal("--policies must not be empty");
-    if (opts.datasets.empty()) fatal("--datasets must not be empty");
-    if (opts.epochs < 1) fatal("--epochs must be >= 1");
-    if (opts.eventsPerEpoch < 1) fatal("--events must be >= 1");
-    for (const auto &d : opts.datasets) findDataset(d);
-    findPlatform(opts.platform);
-    return runBenchDynamic(opts);
+    // 256 PEs (few rows per PE) with growth-dominated churn is the
+    // regime where a frozen partition visibly ages: hub rows fatten
+    // under preferential attachment and single PEs go hot. At 64 PEs
+    // the same churn averages out and every half-life is "never".
+    return {"dynamic",
+            "Dynamic-graph streaming baseline: churn-gcn epochs across the "
+            "balance-policy axis with per-epoch carried-vs-fresh drift "
+            "curves and the convergence half-life, gated on determinism, "
+            "event/batched equivalence, incremental-vs-rebuilt matrix "
+            "identity and cycle/model trajectory agreement (DESIGN.md §12).",
+            {benchList("--datasets", BenchArg::Dataset, "cora,citeseer",
+                       "datasets")
+                 .needs(1),
+             benchList("--policies", BenchArg::Policy,
+                       "baseline,rescratch,rechunk,delta-greedy,"
+                       "delta-threshold,work-steal,remote-d",
+                       "balance policies; baseline is prepended when "
+                       "absent")
+                 .alias("--designs")
+                 .needs(1),
+             benchFlag("--pes", BenchArg::Int, "256", "PE-array size")
+                 .atLeast(1),
+             benchFlag("--epochs", BenchArg::Int, "10",
+                       "churn batches per run")
+                 .atLeast(1),
+             benchFlag("--events", BenchArg::Int, "1024",
+                       "churn events per batch")
+                 .atLeast(1),
+             benchFlag("--dense-cols", BenchArg::Int, "8",
+                       "feature columns per epoch"),
+             benchFlag("--insert-frac", BenchArg::Real, "0.9",
+                       "churn insert:delete mix"),
+             benchFlag("--drift-tol", BenchArg::Real, "0.10",
+                       "half-life drift tolerance"),
+             seedFlag(), scaleFlag(),
+             benchFlag("--platform", BenchArg::Platform, "unconstrained",
+                       "memory platform")},
+            runDynamic};
 }
 
 } // namespace awb::driver

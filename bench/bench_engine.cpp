@@ -1,24 +1,21 @@
 /**
  * @file
- * Implementation of `awbsim --bench-engine` (driver/bench_engine.hpp):
- * the event-vs-batched cycle-engine benchmark producing the tracked
- * BENCH_engine.json perf baseline. See DESIGN.md §6 for why the two
- * engines are bit-identical on every timing statistic and why the
- * batched one is the only way to run Reddit-scale cycle sweeps.
+ * `awbsim --bench-engine`: the event-vs-batched cycle-engine benchmark
+ * (BENCH_engine.json). Runs the same adjacency SPMM (TDQ-2, the
+ * paper's A×(XW) kernel) through both cycle engines — per-non-zero
+ * event stepping and the round-batched engine (DESIGN.md §6) — across a
+ * dataset × PE × policy grid, measuring wall-clock and simulated
+ * cycles, and optionally adds a Reddit-scale batched-only point the
+ * event engine cannot complete in reasonable time. Its gate: the two
+ * engines agree bit for bit on cycles, tasks, rowsSwitched and
+ * convergedRound.
  */
 
-#include "driver/bench_engine.hpp"
-
 #include <cstdio>
-#include <fstream>
 #include <optional>
 
-#include "accel/policy.hpp"
-#include "common/log.hpp"
 #include "common/table.hpp"
-#include "driver/json.hpp"
-#include "driver/scenario.hpp"
-#include "exec/run.hpp"
+#include "driver/bench_harness.hpp"
 #include "exec/workload_cache.hpp"
 #include "graph/datasets.hpp"
 
@@ -26,289 +23,193 @@ namespace awb::driver {
 
 namespace {
 
-/** One engine's run of one grid point. */
-struct EngineRun
-{
-    double wallMs = 0.0;
-    Cycle cycles = 0;
-    Count tasks = 0;
-    Count rowsSwitched = 0;
-    Count convergedRound = -1;
-    Count rounds = 0;
-    Count roundsSimulated = 0;
-};
-
-/** One dataset × PEs × policy point (event run absent for batched-only). */
-struct BenchPoint
+/** One dataset × PEs × policy point (no event run when batched-only). */
+struct EnginePoint
 {
     std::string dataset;
     int pes = 0;
-    std::string policy;
     Index nodes = 0;
-    Count nnz = 0;
-    std::optional<EngineRun> event;
-    EngineRun batched;
-    bool identical = true;  ///< event/batched stats agreed bit for bit
-    double speedup = 0.0;   ///< event wall / batched wall (0 if no event)
+    std::optional<exec::RunResult> event;
+    exec::RunResult batched;
 };
 
-/** One TDQ-2 engine run through the execution core (exec/run.hpp): the
- *  core's wallMs times only the engine execution, exactly what this
- *  bench has always measured (synthesis, the B fill and the partition
- *  build stay outside the clock). */
-EngineRun
-runOnce(const std::string &dataset, int pes, const std::string &policy,
-        EngineKind engine, const BenchEngineOptions &opts)
-{
-    exec::RunRequest req;
-    req.dataset = dataset;
-    req.policy = policy;
-    req.pes = pes;
-    req.mode = exec::Mode::SpmmTdq2;
-    req.engine = engine;
-    req.seed = opts.seed;
-    req.scale = opts.scale;
-    req.denseCols = opts.k;
-    exec::RunResult r = exec::run(req);
-    if (!r.ok)
-        fatal("--bench-engine " + dataset + "@" + std::to_string(pes) +
-              " " + policy + ": " + r.error);
-    EngineRun run;
-    run.wallMs = r.wallMs;
-    run.cycles = r.cycles;
-    run.tasks = r.tasks;
-    run.rowsSwitched = r.rowsSwitched;
-    run.convergedRound = r.convergedRound;
-    run.rounds = r.rounds;
-    run.roundsSimulated = r.roundsSimulated;
-    return run;
-}
-
-BenchPoint
-runPoint(const std::string &dataset, const DatasetSpec &spec, int pes,
-         const std::string &policy, bool with_event,
-         const BenchEngineOptions &opts)
-{
-    BenchPoint pt;
-    pt.dataset = dataset;
-    pt.pes = pes;
-    pt.policy = policy;
-    auto adj = exec::WorkloadCache::instance().adjacency(spec, opts.seed,
-                                                         opts.scale);
-    pt.nodes = adj->rows();
-    pt.nnz = adj->nnz();
-
-    if (with_event)
-        pt.event = runOnce(dataset, pes, policy, EngineKind::Event, opts);
-    pt.batched = runOnce(dataset, pes, policy, EngineKind::Batched, opts);
-
-    if (pt.event) {
-        pt.identical = pt.event->cycles == pt.batched.cycles &&
-                       pt.event->tasks == pt.batched.tasks &&
-                       pt.event->rowsSwitched == pt.batched.rowsSwitched &&
-                       pt.event->convergedRound ==
-                           pt.batched.convergedRound;
-        pt.speedup = pt.batched.wallMs > 0.0
-            ? pt.event->wallMs / pt.batched.wallMs
-            : 0.0;
-    }
-    return pt;
-}
-
 Json
-engineJson(const EngineRun &run)
+engineJson(const exec::RunResult &r)
 {
     Json j = Json::object();
-    j.set("wall_ms", run.wallMs);
-    j.set("cycles", run.cycles);
-    j.set("tasks", run.tasks);
-    j.set("rows_switched", run.rowsSwitched);
-    j.set("converged_round", run.convergedRound);
-    j.set("rounds", run.rounds);
-    j.set("rounds_simulated", run.roundsSimulated);
+    j.set("wall_ms", r.wallMs);
+    j.set("cycles", r.cycles);
+    j.set("tasks", r.tasks);
+    j.set("rows_switched", r.rowsSwitched);
+    j.set("converged_round", r.convergedRound);
+    j.set("rounds", r.rounds);
+    j.set("rounds_simulated", r.roundsSimulated);
     return j;
+}
+
+void
+runEngine(const BenchArgs &a, BenchReport &report)
+{
+    const int k = a.integer("--k");
+    // The core's wallMs times only the engine execution (synthesis, the
+    // B fill and the partition build stay outside the clock).
+    auto run = [&](const std::string &dataset, int pes,
+                   const std::string &policy, EngineKind engine) {
+        exec::RunRequest req;
+        req.dataset = dataset;
+        req.policy = policy;
+        req.pes = pes;
+        req.mode = exec::Mode::SpmmTdq2;
+        req.engine = engine;
+        req.seed = a.uinteger("--seed");
+        req.scale = a.real("--scale");
+        req.denseCols = k;
+        return benchRun("engine", req);
+    };
+
+    Table t({"dataset", "PEs", "policy", "nnz", "event(ms)", "batched(ms)",
+             "speedup", "cycles", "rounds sim", "identical"});
+    Json jpoints = Json::array();
+    std::vector<EnginePoint> points;
+    bool all_identical = true;
+    auto addPoint = [&](const std::string &dataset, int pes,
+                        const std::string &policy, bool with_event) {
+        auto adj = exec::WorkloadCache::instance().adjacency(
+            findDataset(dataset), a.uinteger("--seed"), a.real("--scale"));
+        EnginePoint p{dataset, pes, adj->rows(), std::nullopt, {}};
+        if (with_event)
+            p.event = run(dataset, pes, policy, EngineKind::Event);
+        p.batched = run(dataset, pes, policy, EngineKind::Batched);
+
+        Json j = Json::object();
+        j.set("dataset", dataset);
+        j.set("pes", pes);
+        j.set("policy", policy);
+        j.set("nodes", adj->rows());
+        j.set("nnz", adj->nnz());
+        j.set("k", k);
+        bool identical = true;
+        double speedup = 0.0;
+        if (p.event) {
+            const exec::RunResult &e = *p.event;
+            identical = e.cycles == p.batched.cycles &&
+                        e.tasks == p.batched.tasks &&
+                        e.rowsSwitched == p.batched.rowsSwitched &&
+                        e.convergedRound == p.batched.convergedRound;
+            speedup = p.batched.wallMs > 0.0
+                ? e.wallMs / p.batched.wallMs
+                : 0.0;
+            j.set("event", engineJson(e));
+            j.set("speedup", speedup);
+            j.set("identical", identical);
+        }
+        j.set("batched", engineJson(p.batched));
+        jpoints.push(std::move(j));
+        all_identical = all_identical && identical;
+        t.addRow({dataset, std::to_string(pes), policy,
+                  humanCount(static_cast<double>(adj->nnz())),
+                  p.event ? fixed(p.event->wallMs, 1) : "-",
+                  fixed(p.batched.wallMs, 1),
+                  p.event ? fixed(speedup, 1) + "x" : "-",
+                  humanCount(static_cast<double>(p.batched.cycles)),
+                  std::to_string(p.batched.roundsSimulated) + "/" +
+                      std::to_string(p.batched.rounds),
+                  p.event ? (identical ? "yes" : "NO") : "n/a"});
+        points.push_back(std::move(p));
+    };
+
+    for (const std::string &dataset : a.items("--datasets")) {
+        for (int pes : a.integers("--pes")) {
+            for (const std::string &policy : a.items("--policies")) {
+                std::fprintf(stderr, "bench-engine: %s @ %d PEs %s ...\n",
+                             dataset.c_str(), pes, policy.c_str());
+                addPoint(dataset, pes, policy, /*with_event=*/true);
+            }
+        }
+    }
+    const int reddit_pes = a.integer("--reddit-pes");
+    if (reddit_pes > 0) {
+        const std::string &policy = a.str("--reddit-policy");
+        std::fprintf(stderr,
+                     "bench-engine: reddit @ %d PEs %s (batched only, "
+                     "%d nodes) ...\n",
+                     reddit_pes, policy.c_str(), findDataset("reddit").nodes);
+        addPoint("reddit", reddit_pes, policy, /*with_event=*/false);
+    }
+    report.table = t.render();
+
+    // Headline perf-trajectory number: the largest event-vs-batched
+    // config (nodes × PEs), aggregated over every policy run at that
+    // size so slow-converging policies (whose rounds mostly have to be
+    // event-stepped either way) cannot be cherry-picked away.
+    const EnginePoint *largest = nullptr;
+    for (const EnginePoint &p : points)
+        if (p.event && (largest == nullptr ||
+                        static_cast<double>(p.nodes) * p.pes >
+                            static_cast<double>(largest->nodes) *
+                                largest->pes))
+            largest = &p;
+    Json summary = Json::object();
+    if (largest != nullptr) {
+        double event_ms = 0.0;
+        double batched_ms = 0.0;
+        for (const EnginePoint &p : points) {
+            if (!p.event || p.dataset != largest->dataset ||
+                p.pes != largest->pes)
+                continue;
+            event_ms += p.event->wallMs;
+            batched_ms += p.batched.wallMs;
+        }
+        const double speedup =
+            batched_ms > 0.0 ? event_ms / batched_ms : 0.0;
+        report.table += "largest paired config " + largest->dataset +
+                        " @ " + std::to_string(largest->pes) +
+                        " PEs (all policies): " + fixed(speedup, 1) +
+                        "x batched speedup\n";
+        Json l = Json::object();
+        l.set("dataset", largest->dataset);
+        l.set("pes", largest->pes);
+        l.set("event_wall_ms", event_ms);
+        l.set("batched_wall_ms", batched_ms);
+        l.set("speedup", speedup);
+        summary.set("largest_paired_config", std::move(l));
+    }
+    report.gates = {{"all_identical", all_identical,
+                     "the batched engine diverged from the event engine"}};
+    setGateFields(summary, report.gates);
+
+    Json &doc = report.doc;
+    doc.set("seed", a.uinteger("--seed"));
+    doc.set("scale", a.real("--scale"));
+    doc.set("k", k);
+    doc.set("points", std::move(jpoints));
+    doc.set("summary", std::move(summary));
 }
 
 } // namespace
 
-int
-runBenchEngine(const BenchEngineOptions &opts)
+BenchSpec
+engineBench()
 {
-    std::vector<BenchPoint> points;
-
-    for (const std::string &dataset : opts.datasets) {
-        const DatasetSpec &spec = findDataset(dataset);
-        for (int pes : opts.peCounts) {
-            for (const std::string &policy : opts.policies) {
-                std::fprintf(stderr, "bench-engine: %s @ %d PEs %s ...\n",
-                             dataset.c_str(), pes, policy.c_str());
-                points.push_back(runPoint(
-                    dataset, spec, pes,
-                    PolicyRegistry::instance().get(policy).name,
-                    /*with_event=*/true, opts));
-            }
-        }
-    }
-
-    if (opts.redditPes > 0) {
-        const DatasetSpec &spec = findDataset("reddit");
-        std::fprintf(stderr,
-                     "bench-engine: reddit @ %d PEs %s (batched only, "
-                     "%d nodes) ...\n",
-                     opts.redditPes, opts.redditPolicy.c_str(), spec.nodes);
-        points.push_back(runPoint(
-            "reddit", spec, opts.redditPes,
-            PolicyRegistry::instance().get(opts.redditPolicy).name,
-            /*with_event=*/false, opts));
-    }
-
-    // --- Table.
-    Table t({"dataset", "PEs", "policy", "nnz", "event(ms)", "batched(ms)",
-             "speedup", "cycles", "rounds sim", "identical"});
-    bool all_identical = true;
-    for (const BenchPoint &p : points) {
-        all_identical = all_identical && p.identical;
-        t.addRow({p.dataset, std::to_string(p.pes), p.policy,
-                  humanCount(static_cast<double>(p.nnz)),
-                  p.event ? fixed(p.event->wallMs, 1) : "-",
-                  fixed(p.batched.wallMs, 1),
-                  p.event ? fixed(p.speedup, 1) + "x" : "-",
-                  humanCount(static_cast<double>(p.batched.cycles)),
-                  std::to_string(p.batched.roundsSimulated) + "/" +
-                      std::to_string(p.batched.rounds),
-                  p.event ? (p.identical ? "yes" : "NO") : "n/a"});
-    }
-    std::printf("%s", t.render().c_str());
-
-    // --- Headline perf-trajectory number: the largest event-vs-batched
-    // config (nodes × PEs), aggregated over every policy run at that
-    // size so slow-converging policies (whose rounds mostly have to be
-    // event-stepped either way) cannot be cherry-picked away.
-    const BenchPoint *largest = nullptr;
-    for (const BenchPoint &p : points) {
-        if (!p.event) continue;
-        if (largest == nullptr ||
-            static_cast<double>(p.nodes) * p.pes >
-                static_cast<double>(largest->nodes) * largest->pes)
-            largest = &p;
-    }
-    double largest_event_ms = 0.0;
-    double largest_batched_ms = 0.0;
-    double largest_speedup = 0.0;
-    if (largest != nullptr) {
-        for (const BenchPoint &p : points) {
-            if (!p.event || p.dataset != largest->dataset ||
-                p.pes != largest->pes)
-                continue;
-            largest_event_ms += p.event->wallMs;
-            largest_batched_ms += p.batched.wallMs;
-        }
-        largest_speedup = largest_batched_ms > 0.0
-            ? largest_event_ms / largest_batched_ms
-            : 0.0;
-        std::printf("largest paired config %s @ %d PEs (all policies): "
-                    "%.1fx batched speedup\n",
-                    largest->dataset.c_str(), largest->pes,
-                    largest_speedup);
-    }
-
-    // --- JSON document.
-    Json doc = Json::object();
-    doc.set("schema", "awbsim-bench-engine-v1");
-    doc.set("seed", opts.seed);
-    doc.set("scale", opts.scale);
-    doc.set("k", opts.k);
-    Json arr = Json::array();
-    for (const BenchPoint &p : points) {
-        Json j = Json::object();
-        j.set("dataset", p.dataset);
-        j.set("pes", p.pes);
-        j.set("policy", p.policy);
-        j.set("nodes", p.nodes);
-        j.set("nnz", p.nnz);
-        j.set("k", opts.k);
-        if (p.event) {
-            j.set("event", engineJson(*p.event));
-            j.set("speedup", p.speedup);
-            j.set("identical", p.identical);
-        }
-        j.set("batched", engineJson(p.batched));
-        arr.push(std::move(j));
-    }
-    doc.set("points", std::move(arr));
-    Json summary = Json::object();
-    if (largest != nullptr) {
-        Json l = Json::object();
-        l.set("dataset", largest->dataset);
-        l.set("pes", largest->pes);
-        l.set("event_wall_ms", largest_event_ms);
-        l.set("batched_wall_ms", largest_batched_ms);
-        l.set("speedup", largest_speedup);
-        summary.set("largest_paired_config", std::move(l));
-    }
-    summary.set("all_identical", all_identical);
-    doc.set("summary", std::move(summary));
-
-    std::string rendered = doc.dump(2);
-    if (opts.jsonPath == "-") {
-        std::printf("%s", rendered.c_str());
-    } else {
-        std::ofstream f(opts.jsonPath);
-        if (!f) fatal("cannot write " + opts.jsonPath);
-        f << rendered;
-        std::printf("bench-engine JSON written to %s\n",
-                    opts.jsonPath.c_str());
-    }
-
-    if (!all_identical) {
-        std::fprintf(stderr, "bench-engine: ENGINE MISMATCH — the batched "
-                             "engine diverged from the event engine\n");
-        return 1;
-    }
-    return 0;
-}
-
-int
-runBenchEngineCli(int argc, char **argv, int first)
-{
-    BenchEngineOptions opts;
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto need = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) fatal(std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (a == "--datasets") {
-            opts.datasets = splitCsv(need("--datasets"));
-        } else if (a == "--pes") {
-            opts.peCounts.clear();
-            for (const auto &p : splitCsv(need("--pes")))
-                opts.peCounts.push_back(parseInt("--pes", p));
-        } else if (a == "--policies") {
-            opts.policies.clear();
-            for (const auto &p : splitCsv(need("--policies")))
-                opts.policies.push_back(
-                    PolicyRegistry::instance().get(p).name);
-        } else if (a == "--k") {
-            opts.k = parseInt("--k", need("--k"));
-        } else if (a == "--reddit-pes") {
-            opts.redditPes = parseInt("--reddit-pes", need("--reddit-pes"));
-        } else if (a == "--reddit-policy") {
-            opts.redditPolicy =
-                PolicyRegistry::instance().get(need("--reddit-policy")).name;
-        } else if (a == "--seed") {
-            opts.seed = parseUint("--seed", need("--seed"));
-        } else if (a == "--scale") {
-            opts.scale = parseDouble("--scale", need("--scale"));
-        } else if (a == "--json") {
-            opts.jsonPath = need("--json");
-        } else {
-            fatal("unknown bench-engine flag: " + a);
-        }
-    }
-    if (opts.k < 1) fatal("--k must be >= 1");
-    for (const auto &d : opts.datasets) findDataset(d);
-    return runBenchEngine(opts);
+    return {"engine",
+            "Benchmark the event vs. round-batched cycle engines "
+            "(wall-clock + simulated cycles per dataset x PE x policy) and "
+            "gate on the two agreeing bit for bit (DESIGN.md §6).",
+            {benchList("--datasets", BenchArg::Dataset,
+                       "cora,citeseer,pubmed", "datasets"),
+             benchList("--pes", BenchArg::Int, "64,256", "PE-array sizes"),
+             benchList("--policies", BenchArg::Policy, "baseline,remote-d",
+                       "balance policies"),
+             benchFlag("--k", BenchArg::Int, "64",
+                       "dense-operand columns (rounds)")
+                 .atLeast(1),
+             benchFlag("--reddit-pes", BenchArg::Int, "0",
+                       "also run Reddit at N PEs on the batched engine "
+                       "only (0 = skip)"),
+             benchFlag("--reddit-policy", BenchArg::Policy, "remote-d",
+                       "policy of the Reddit point"),
+             seedFlag(), scaleFlag()},
+            runEngine};
 }
 
 } // namespace awb::driver

@@ -1,215 +1,124 @@
 /**
  * @file
- * Implementation of `awbsim --bench-memory` (driver/bench_memory.hpp):
- * the cross-platform memory-model baseline producing the tracked
- * BENCH_memory.json document. See DESIGN.md §8 for the traffic
- * accounting rules, the roofline composition and the no-op equivalence
- * argument the gate here enforces.
+ * `awbsim --bench-memory`: the cross-platform memory-model baseline
+ * (BENCH_memory.json). Runs the round-level GCN model (full-scale
+ * capable) through exec::run across a dataset × policy × platform grid
+ * and records the bandwidth-bound share of every point (DESIGN.md §8).
+ * Its gate: on the `unconstrained` platform the bandwidth floor must
+ * never engage (`memory_cycles == 0`, `bw_bound_rounds == 0`), the
+ * property that makes the roofline composition the identity; the
+ * bit-identity to platform-less configs is locked by
+ * tests/test_memory_model.cpp.
  */
 
-#include "driver/bench_memory.hpp"
-
-#include <cstdio>
-#include <fstream>
-
-#include "accel/perf_model.hpp"
-#include "accel/policy.hpp"
-#include "common/log.hpp"
 #include "common/table.hpp"
-#include "driver/json.hpp"
-#include "driver/scenario.hpp"
-#include "exec/workload_cache.hpp"
-#include "graph/datasets.hpp"
-#include "model/energy_model.hpp"
+#include "driver/bench_harness.hpp"
 #include "model/memory_model.hpp"
 
 namespace awb::driver {
 
 namespace {
 
-/** One dataset × policy × platform grid point. */
-struct MemoryPoint
+std::string
+allPlatforms()
 {
-    std::string dataset;
-    std::string policy;
-    std::string platform;
-    Cycle cycles = 0;
-    Cycle memoryCycles = 0;
-    Count rounds = 0;
-    Count bwBoundRounds = 0;
-    Count rowsSwitched = 0;
-    Count convergedRound = -1;
-    Count bytesTotal = 0;
-    Count bytesMigrated = 0;
-    double latencyMs = 0.0;
-    bool noopIdentical = true;  ///< unconstrained == platform-less twin
-};
+    std::string out;
+    for (const PlatformSpec &p : knownPlatforms())
+        out += (out.empty() ? "" : ",") + p.name;
+    return out;
+}
 
-MemoryPoint
-runPoint(const DatasetSpec &spec, const std::string &policy,
-         const std::string &platform, const WorkloadProfile &prof,
-         int pes)
+void
+runMemory(const BenchArgs &a, BenchReport &report)
 {
-    AccelConfig cfg = makePolicyConfig(policy, pes, hopBase(spec));
-    cfg.platform = platform;
-    PerfGcnResult res = PerfModel(cfg).runGcn(prof);
-
-    MemoryPoint pt;
-    pt.dataset = spec.name;
-    pt.policy = policy;
-    pt.platform = platform;
-    pt.cycles = res.totalCycles;
-    pt.memoryCycles = res.memoryCycles;
-    pt.bwBoundRounds = res.bwBoundRounds;
-    pt.bytesTotal = res.traffic.total();
-    pt.bytesMigrated = res.traffic.migrationBytes;
-    for (const auto &layer : res.layers) {
-        pt.rounds += layer.xw.rounds + layer.ax.rounds;
-        pt.rowsSwitched += layer.xw.rowsSwitched + layer.ax.rowsSwitched;
-        pt.convergedRound = std::max(
-            pt.convergedRound,
-            std::max(layer.xw.convergedRound, layer.ax.convergedRound));
+    std::vector<std::string> platforms = a.items("--platforms");
+    if (platforms.empty())
+        for (const PlatformSpec &p : knownPlatforms())
+            platforms.push_back(p.name);
+    bool noop_ok = true;
+    Count bw_bound_points = 0;
+    Json points = Json::array();
+    Table t({"dataset", "policy", "platform", "cycles", "mem floor",
+             "bw-bound", "GB moved", "latency(ms)"});
+    for (const auto &dataset : a.items("--datasets")) {
+        for (const auto &policy : a.items("--policies")) {
+            for (const auto &platform : platforms) {
+                exec::RunRequest req;
+                req.dataset = dataset;
+                req.policy = policy;
+                req.platform = platform;
+                req.pes = a.integer("--pes");
+                req.seed = a.uinteger("--seed");
+                req.scale = a.real("--scale");
+                const exec::RunResult r = benchRun("memory", req);
+                // The no-op gate (DESIGN.md §8).
+                const bool noop = findPlatform(platform).bandwidthGBs > 0.0 ||
+                                  (r.memoryCycles == 0 &&
+                                   r.bwBoundRounds == 0);
+                noop_ok = noop_ok && noop;
+                if (r.bwBoundRounds > 0) ++bw_bound_points;
+                t.addRow({dataset, policy, platform,
+                          humanCount(static_cast<double>(r.cycles)),
+                          humanCount(static_cast<double>(r.memoryCycles)),
+                          std::to_string(r.bwBoundRounds) + "/" +
+                              std::to_string(r.rounds),
+                          fixed(static_cast<double>(r.bytesTotal) / 1e9,
+                                3),
+                          fixed(r.latencyMs, 3)});
+                Json p = Json::object();
+                p.set("dataset", dataset);
+                p.set("policy", policy);
+                p.set("platform", platform);
+                p.set("cycles", r.cycles);
+                p.set("memory_cycles", r.memoryCycles);
+                p.set("rounds", r.rounds);
+                p.set("bw_bound_rounds", r.bwBoundRounds);
+                p.set("rows_switched", r.rowsSwitched);
+                p.set("converged_round", r.convergedRound);
+                p.set("bytes_total", r.bytesTotal);
+                p.set("bytes_migrated", r.bytesMigrated);
+                p.set("latency_ms", r.latencyMs);
+                p.set("noop_identical", noop);
+                points.push(std::move(p));
+            }
+        }
     }
-    pt.latencyMs = evaluateEnergy(res.totalCycles, res.totalTasks,
-                                  policyClockMhz(cfg))
-                       .latencyMs;
-    return pt;
+    report.table = t.render();
+    report.gates = {{"noop_identical", noop_ok,
+                     "the bandwidth floor engaged on an unconstrained "
+                     "platform"}};
+
+    Json &doc = report.doc;
+    doc.set("seed", a.uinteger("--seed"));
+    doc.set("scale", a.real("--scale"));
+    doc.set("pes", a.integer("--pes"));
+    doc.set("points", std::move(points));
+    Json summary = Json::object();
+    setGateFields(summary, report.gates);
+    summary.set("bw_bound_points", bw_bound_points);
+    doc.set("summary", std::move(summary));
 }
 
 } // namespace
 
-int
-runBenchMemory(const BenchMemoryOptions &opts)
+BenchSpec
+memoryBench()
 {
-    std::vector<std::string> platforms = opts.platforms;
-    if (platforms.empty())
-        for (const PlatformSpec &p : knownPlatforms())
-            platforms.push_back(p.name);
-
-    std::vector<MemoryPoint> points;
-    bool noop_ok = true;
-    Count bw_bound_points = 0;
-
-    Table t({"dataset", "policy", "platform", "cycles", "mem floor",
-             "bw-bound", "GB moved", "latency(ms)"});
-    for (const auto &dataset : opts.datasets) {
-        const DatasetSpec &spec = findDataset(dataset);
-        const auto prof_p = exec::cachedProfile(spec, opts.seed, opts.scale);
-        const WorkloadProfile &prof = *prof_p;
-        for (const auto &policy : opts.policies) {
-            for (const auto &platform : platforms) {
-                MemoryPoint pt =
-                    runPoint(spec, policy, platform, prof, opts.pes);
-                if (findPlatform(platform).bandwidthGBs <= 0.0) {
-                    // The no-op gate: on an unconstrained platform the
-                    // bandwidth floor must never have engaged, which is
-                    // what makes the composition provably the identity
-                    // (DESIGN.md §8; the bit-identity to platform-less
-                    // configs is locked by tests/test_memory_model.cpp).
-                    pt.noopIdentical =
-                        pt.memoryCycles == 0 && pt.bwBoundRounds == 0;
-                    noop_ok = noop_ok && pt.noopIdentical;
-                }
-                if (pt.bwBoundRounds > 0) ++bw_bound_points;
-                t.addRow({pt.dataset, pt.policy, pt.platform,
-                          humanCount(static_cast<double>(pt.cycles)),
-                          humanCount(static_cast<double>(pt.memoryCycles)),
-                          std::to_string(pt.bwBoundRounds) + "/" +
-                              std::to_string(pt.rounds),
-                          fixed(static_cast<double>(pt.bytesTotal) / 1e9,
-                                3),
-                          fixed(pt.latencyMs, 3)});
-                points.push_back(std::move(pt));
-            }
-        }
-    }
-    std::printf("%s", t.render().c_str());
-
-    Json doc = Json::object();
-    doc.set("schema", "awbsim-bench-memory-v1");
-    doc.set("seed", opts.seed);
-    doc.set("scale", opts.scale);
-    doc.set("pes", opts.pes);
-    Json jpoints = Json::array();
-    for (const auto &pt : points) {
-        Json p = Json::object();
-        p.set("dataset", pt.dataset);
-        p.set("policy", pt.policy);
-        p.set("platform", pt.platform);
-        p.set("cycles", pt.cycles);
-        p.set("memory_cycles", pt.memoryCycles);
-        p.set("rounds", pt.rounds);
-        p.set("bw_bound_rounds", pt.bwBoundRounds);
-        p.set("rows_switched", pt.rowsSwitched);
-        p.set("converged_round", pt.convergedRound);
-        p.set("bytes_total", pt.bytesTotal);
-        p.set("bytes_migrated", pt.bytesMigrated);
-        p.set("latency_ms", pt.latencyMs);
-        p.set("noop_identical", pt.noopIdentical);
-        jpoints.push(std::move(p));
-    }
-    doc.set("points", std::move(jpoints));
-    Json summary = Json::object();
-    summary.set("noop_identical", noop_ok);
-    summary.set("bw_bound_points", bw_bound_points);
-    doc.set("summary", std::move(summary));
-
-    std::string rendered = doc.dump(2);
-    if (opts.jsonPath == "-") {
-        std::printf("%s", rendered.c_str());
-    } else {
-        std::ofstream f(opts.jsonPath);
-        if (!f) fatal("cannot write " + opts.jsonPath);
-        f << rendered;
-        std::printf("bench-memory JSON written to %s\n",
-                    opts.jsonPath.c_str());
-    }
-
-    if (!noop_ok) {
-        std::fprintf(stderr,
-                     "bench-memory: NO-OP GATE FAILED — the bandwidth "
-                     "floor engaged on an unconstrained platform\n");
-        return 1;
-    }
-    return 0;
-}
-
-int
-runBenchMemoryCli(int argc, char **argv, int first)
-{
-    BenchMemoryOptions opts;
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto need = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) fatal(std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (a == "--datasets") {
-            opts.datasets = splitCsv(need("--datasets"));
-        } else if (a == "--policies") {
-            opts.policies.clear();
-            for (const auto &p : splitCsv(need("--policies")))
-                opts.policies.push_back(
-                    PolicyRegistry::instance().get(p).name);
-        } else if (a == "--platforms" || a == "--platform") {
-            opts.platforms.clear();
-            for (const auto &p : splitCsv(need("--platforms")))
-                opts.platforms.push_back(findPlatform(p).name);
-        } else if (a == "--pes") {
-            opts.pes = parseInt("--pes", need("--pes"));
-        } else if (a == "--seed") {
-            opts.seed = parseUint("--seed", need("--seed"));
-        } else if (a == "--scale") {
-            opts.scale = parseDouble("--scale", need("--scale"));
-        } else if (a == "--json") {
-            opts.jsonPath = need("--json");
-        } else {
-            fatal("unknown bench-memory flag: " + a);
-        }
-    }
-    if (opts.pes < 1) fatal("--pes must be >= 1");
-    for (const auto &d : opts.datasets) findDataset(d);
-    return runBenchMemory(opts);
+    return {"memory",
+            "Cross-platform memory-model baseline: run the round-level GCN "
+            "model across dataset x policy x platform and gate on the "
+            "unconstrained platform being a timing no-op (DESIGN.md §8).",
+            {benchList("--datasets", BenchArg::Dataset,
+                       "cora,citeseer,pubmed,nell,reddit", "datasets"),
+             benchList("--policies", BenchArg::Policy, "baseline,remote-d",
+                       "balance policies"),
+             benchList("--platforms", BenchArg::Platform, allPlatforms(),
+                       "memory platforms (empty = every registered one)")
+                 .alias("--platform"),
+             benchFlag("--pes", BenchArg::Int, "1024", "PE-array size")
+                 .atLeast(1),
+             seedFlag(), scaleFlag()},
+            runMemory};
 }
 
 } // namespace awb::driver

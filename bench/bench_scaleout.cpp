@@ -1,217 +1,123 @@
 /**
  * @file
- * Implementation of `awbsim --bench-scaleout` (driver/bench_scaleout.hpp):
- * the multi-chip scaling baseline producing the tracked
- * BENCH_scaleout.json document. See DESIGN.md §9 for the sharding model,
- * the halo accounting rules and the monotonicity argument the gate here
- * enforces.
+ * `awbsim --bench-scaleout`: the multi-chip scaling baseline
+ * (BENCH_scaleout.json). Runs the round-level GCN model of one dataset
+ * through exec::run, sharded across a chip-count curve × platform grid
+ * (DESIGN.md §9), and records cycles, halo traffic and chip imbalance
+ * per point. Its gate: halo bytes must be zero at 1 chip and monotone
+ * non-decreasing along the chip axis (more chips can only cut more
+ * boundary edges).
  */
 
-#include "driver/bench_scaleout.hpp"
-
-#include <chrono>
-#include <cstdio>
-#include <fstream>
-
-#include "accel/policy.hpp"
-#include "accel/scaleout.hpp"
-#include "common/log.hpp"
 #include "common/table.hpp"
-#include "driver/json.hpp"
-#include "driver/scenario.hpp"
-#include "exec/workload_cache.hpp"
-#include "graph/datasets.hpp"
-#include "model/energy_model.hpp"
-#include "model/memory_model.hpp"
+#include "driver/bench_harness.hpp"
 
 namespace awb::driver {
 
 namespace {
 
-/** One chips × platform point of the scaling curve. */
-struct ScaleoutPoint
+void
+runScaleout(const BenchArgs &a, BenchReport &report)
 {
-    std::string platform;
-    int chips = 1;
-    Cycle cycles = 0;
-    Count haloBytes = 0;
-    Cycle haloCycles = 0;
-    Count haloBoundRounds = 0;
-    double chipImbalance = 1.0;
-    Count bytesTotal = 0;
-    Cycle memoryCycles = 0;
-    Count bwBoundRounds = 0;
-    double latencyMs = 0.0;
-    double speedup = 1.0;  ///< 1-chip cycles / cycles, same platform
-    double wallMs = 0.0;
-};
-
-} // namespace
-
-int
-runBenchScaleout(const BenchScaleoutOptions &opts)
-{
-    const DatasetSpec &spec = findDataset(opts.dataset);
-    const auto prof_p = exec::cachedProfile(spec, opts.seed, opts.scale);
-    const WorkloadProfile &prof = *prof_p;
-    const auto adj_p = exec::cachedAdjacency(spec, opts.seed, opts.scale);
-    const CscMatrix &adjacency = *adj_p;
-
-    std::vector<ScaleoutPoint> points;
+    const std::vector<int> chip_counts = a.integers("--chips");
     bool halo_ok = true;
-
+    Json points = Json::array();
     Table t({"platform", "chips", "cycles", "speedup", "halo GB",
              "halo cycles", "imbalance", "latency(ms)"});
-    for (const auto &platform : opts.platforms) {
+    for (const auto &platform : a.items("--platforms")) {
         Cycle one_chip_cycles = 0;
         Count prev_halo = 0;
-        for (std::size_t i = 0; i < opts.chipCounts.size(); ++i) {
-            const int chips = opts.chipCounts[i];
-            AccelConfig cfg =
-                makePolicyConfig(opts.policy, opts.pes, hopBase(spec));
-            cfg.platform = platform;
-            cfg.chips = chips;
+        for (std::size_t i = 0; i < chip_counts.size(); ++i) {
+            const int chips = chip_counts[i];
+            exec::RunRequest req;
+            req.dataset = a.str("--dataset");
+            req.policy = a.str("--policy");
+            req.platform = platform;
+            req.pes = a.integer("--pes");
+            req.chips = chips;
+            req.seed = a.uinteger("--seed");
+            req.scale = a.real("--scale");
+            const exec::RunResult r = benchRun("scaleout", req);
 
-            auto t0 = std::chrono::steady_clock::now();
-            ShardedPerfGcnResult res =
-                modelGcnSharded(cfg, prof, &adjacency);
-            auto t1 = std::chrono::steady_clock::now();
-
-            ScaleoutPoint pt;
-            pt.platform = platform;
-            pt.chips = chips;
-            pt.cycles = res.result.totalCycles;
-            pt.haloBytes = res.scaleout.haloBytes;
-            pt.haloCycles = res.scaleout.haloCycles;
-            pt.haloBoundRounds = res.scaleout.haloBoundRounds;
-            pt.chipImbalance = res.scaleout.chipImbalance;
-            pt.bytesTotal = res.result.traffic.total();
-            pt.memoryCycles = res.result.memoryCycles;
-            pt.bwBoundRounds = res.result.bwBoundRounds;
-            pt.latencyMs =
-                evaluateEnergy(res.result.totalCycles,
-                               res.result.totalTasks, policyClockMhz(cfg))
-                    .latencyMs;
-            pt.wallMs =
-                std::chrono::duration<double, std::milli>(t1 - t0).count();
-
-            if (chips == 1) one_chip_cycles = pt.cycles;
-            if (one_chip_cycles > 0 && pt.cycles > 0)
-                pt.speedup = static_cast<double>(one_chip_cycles) /
-                             static_cast<double>(pt.cycles);
-
+            if (chips == 1) one_chip_cycles = r.cycles;
+            const double speedup = one_chip_cycles > 0 && r.cycles > 0
+                ? static_cast<double>(one_chip_cycles) /
+                      static_cast<double>(r.cycles)
+                : 1.0;
             // The halo gate (DESIGN.md §9): one chip has no boundary,
             // and cutting the graph into more shards can only turn more
             // edges into boundary edges.
-            if (chips == 1 && pt.haloBytes != 0) halo_ok = false;
-            if (i > 0 && opts.chipCounts[i] > opts.chipCounts[i - 1] &&
-                pt.haloBytes < prev_halo)
+            if (chips == 1 && r.haloBytes != 0) halo_ok = false;
+            if (i > 0 && chips > chip_counts[i - 1] &&
+                r.haloBytes < prev_halo)
                 halo_ok = false;
-            prev_halo = pt.haloBytes;
+            prev_halo = r.haloBytes;
 
-            t.addRow({pt.platform, std::to_string(pt.chips),
-                      humanCount(static_cast<double>(pt.cycles)),
-                      fixed(pt.speedup, 2) + "x",
-                      fixed(static_cast<double>(pt.haloBytes) / 1e9, 3),
-                      humanCount(static_cast<double>(pt.haloCycles)),
-                      fixed(pt.chipImbalance, 3), fixed(pt.latencyMs, 3)});
-            points.push_back(std::move(pt));
+            t.addRow({platform, std::to_string(chips),
+                      humanCount(static_cast<double>(r.cycles)),
+                      fixed(speedup, 2) + "x",
+                      fixed(static_cast<double>(r.haloBytes) / 1e9, 3),
+                      humanCount(static_cast<double>(r.haloCycles)),
+                      fixed(r.chipImbalance, 3), fixed(r.latencyMs, 3)});
+            Json p = Json::object();
+            p.set("platform", platform);
+            p.set("chips", chips);
+            p.set("cycles", r.cycles);
+            p.set("halo_bytes", r.haloBytes);
+            p.set("halo_cycles", r.haloCycles);
+            p.set("halo_bound_rounds", r.haloBoundRounds);
+            p.set("chip_imbalance", r.chipImbalance);
+            p.set("bytes_total", r.bytesTotal);
+            p.set("memory_cycles", r.memoryCycles);
+            p.set("bw_bound_rounds", r.bwBoundRounds);
+            p.set("latency_ms", r.latencyMs);
+            p.set("speedup", speedup);
+            p.set("wall_ms", r.wallMs);
+            points.push(std::move(p));
         }
     }
-    std::printf("%s", t.render().c_str());
+    report.table = t.render();
+    report.gates = {{"halo_monotone", halo_ok,
+                     "halo traffic is non-zero at 1 chip or non-monotone "
+                     "along the chip axis"}};
 
-    Json doc = Json::object();
-    doc.set("schema", "awbsim-bench-scaleout-v1");
-    doc.set("dataset", spec.name);
-    doc.set("policy", opts.policy);
-    doc.set("pes", opts.pes);
-    doc.set("seed", opts.seed);
-    doc.set("scale", opts.scale);
-    Json jpoints = Json::array();
-    for (const auto &pt : points) {
-        Json p = Json::object();
-        p.set("platform", pt.platform);
-        p.set("chips", pt.chips);
-        p.set("cycles", pt.cycles);
-        p.set("halo_bytes", pt.haloBytes);
-        p.set("halo_cycles", pt.haloCycles);
-        p.set("halo_bound_rounds", pt.haloBoundRounds);
-        p.set("chip_imbalance", pt.chipImbalance);
-        p.set("bytes_total", pt.bytesTotal);
-        p.set("memory_cycles", pt.memoryCycles);
-        p.set("bw_bound_rounds", pt.bwBoundRounds);
-        p.set("latency_ms", pt.latencyMs);
-        p.set("speedup", pt.speedup);
-        p.set("wall_ms", pt.wallMs);
-        jpoints.push(std::move(p));
-    }
-    doc.set("points", std::move(jpoints));
+    Json &doc = report.doc;
+    doc.set("dataset", a.str("--dataset"));
+    doc.set("policy", a.str("--policy"));
+    doc.set("pes", a.integer("--pes"));
+    doc.set("seed", a.uinteger("--seed"));
+    doc.set("scale", a.real("--scale"));
+    doc.set("points", std::move(points));
     Json summary = Json::object();
-    summary.set("halo_monotone", halo_ok);
+    setGateFields(summary, report.gates);
     doc.set("summary", std::move(summary));
-
-    std::string rendered = doc.dump(2);
-    if (opts.jsonPath == "-") {
-        std::printf("%s", rendered.c_str());
-    } else {
-        std::ofstream f(opts.jsonPath);
-        if (!f) fatal("cannot write " + opts.jsonPath);
-        f << rendered;
-        std::printf("bench-scaleout JSON written to %s\n",
-                    opts.jsonPath.c_str());
-    }
-
-    if (!halo_ok) {
-        std::fprintf(stderr,
-                     "bench-scaleout: HALO GATE FAILED — halo traffic is "
-                     "non-zero at 1 chip or non-monotone along the chip "
-                     "axis\n");
-        return 1;
-    }
-    return 0;
 }
 
-int
-runBenchScaleoutCli(int argc, char **argv, int first)
+} // namespace
+
+BenchSpec
+scaleoutBench()
 {
-    BenchScaleoutOptions opts;
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto need = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) fatal(std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (a == "--dataset") {
-            opts.dataset = need("--dataset");
-        } else if (a == "--chips") {
-            opts.chipCounts.clear();
-            for (const auto &c : splitCsv(need("--chips")))
-                opts.chipCounts.push_back(parseInt("--chips", c));
-        } else if (a == "--platforms" || a == "--platform") {
-            opts.platforms.clear();
-            for (const auto &p : splitCsv(need("--platforms")))
-                opts.platforms.push_back(findPlatform(p).name);
-        } else if (a == "--policy") {
-            opts.policy =
-                PolicyRegistry::instance().get(need("--policy")).name;
-        } else if (a == "--pes") {
-            opts.pes = parseInt("--pes", need("--pes"));
-        } else if (a == "--seed") {
-            opts.seed = parseUint("--seed", need("--seed"));
-        } else if (a == "--scale") {
-            opts.scale = parseDouble("--scale", need("--scale"));
-        } else if (a == "--json") {
-            opts.jsonPath = need("--json");
-        } else {
-            fatal("unknown bench-scaleout flag: " + a);
-        }
-    }
-    if (opts.pes < 1) fatal("--pes must be >= 1");
-    if (opts.chipCounts.empty()) fatal("--chips must not be empty");
-    for (int c : opts.chipCounts)
-        if (c < 1) fatal("--chips entries must be >= 1");
-    findDataset(opts.dataset);
-    return runBenchScaleout(opts);
+    return {"scaleout",
+            "Multi-chip scaling baseline: shard one dataset across a "
+            "chip-count curve on the round-level model and gate on the "
+            "halo-traffic curve being monotone and zero at 1 chip "
+            "(DESIGN.md §9).",
+            {benchFlag("--dataset", BenchArg::Dataset, "reddit", "dataset"),
+             benchList("--chips", BenchArg::Int, "1,2,4,8,16",
+                       "chip-count curve")
+                 .atLeast(1)
+                 .needs(1),
+             benchList("--platforms", BenchArg::Platform,
+                       "d5005-ddr4,p100-hbm2", "memory platforms")
+                 .alias("--platform"),
+             benchFlag("--policy", BenchArg::Policy, "remote-d",
+                       "balance policy"),
+             benchFlag("--pes", BenchArg::Int, "1024",
+                       "PE-array size per chip")
+                 .atLeast(1),
+             seedFlag(), scaleFlag()},
+            runScaleout};
 }
 
 } // namespace awb::driver

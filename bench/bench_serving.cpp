@@ -1,54 +1,25 @@
 /**
  * @file
- * Implementation of `awbsim --bench-serving` (driver/bench_serving.hpp):
- * the serving baseline producing the tracked BENCH_serving.json
- * document. See DESIGN.md §10 for the arrival model, the batching
- * semantics and the determinism argument the double-run gate leans on.
+ * `awbsim --bench-serving`: the serving baseline (BENCH_serving.json).
+ * Sweeps the open-loop arrival rate over ≥ 2 datasets on the
+ * model-fidelity serving stack (DESIGN.md §10), records the
+ * throughput-vs-p99 curve and runs one closed-loop experiment per
+ * dataset to pin the saturation throughput. Its gate covers request
+ * conservation (offered == completed + dropped + timed out),
+ * non-decreasing latency percentiles (p50 ≤ p95 ≤ p99 ≤ p999) and
+ * double-run byte-determinism per point.
  */
 
-#include "driver/bench_serving.hpp"
-
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 
-#include "accel/policy.hpp"
-#include "common/log.hpp"
 #include "common/table.hpp"
-#include "driver/json.hpp"
-#include "driver/scenario.hpp"
+#include "driver/bench_harness.hpp"
 #include "driver/serve_cli.hpp"
-#include "graph/datasets.hpp"
 #include "serve/serve.hpp"
 
 namespace awb::driver {
 
 namespace {
-
-/** One dataset × rate point of the latency curve. */
-struct ServingPoint
-{
-    std::string dataset;
-    double rate = 0.0;
-    serve::ServeOptions opts;
-    serve::ServeResult result;
-    bool deterministic = true;  ///< double-run byte-identical JSON
-};
-
-serve::ServeOptions
-baseOptions(const BenchServingOptions &opts, const std::string &dataset)
-{
-    serve::ServeOptions o;
-    o.dataset = dataset;
-    o.fidelity = serve::ServeFidelity::Model;
-    o.durationMs = opts.durationMs;
-    o.devices = opts.devices;
-    o.discipline = opts.discipline;
-    o.design = opts.policy;
-    o.numPes = opts.pes;
-    o.seed = opts.seed;
-    return o;
-}
 
 bool
 percentilesOrdered(const serve::LatencySummary &s)
@@ -63,227 +34,167 @@ conserved(const serve::ServeResult &r)
     return r.offered == r.completed + r.dropped + r.timedOut;
 }
 
-} // namespace
-
-int
-runBenchServing(const BenchServingOptions &opts)
+void
+runServing(const BenchArgs &a, BenchReport &report)
 {
-    const auto bench_t0 = std::chrono::steady_clock::now();
-    std::vector<ServingPoint> points;
-    bool gates_ok = true;
+    const auto t0 = std::chrono::steady_clock::now();
     std::string gate_error;
     auto fail = [&](const std::string &why) {
-        gates_ok = false;
         if (gate_error.empty()) gate_error = why;
     };
+    auto baseOptions = [&](const std::string &dataset) {
+        serve::ServeOptions o;
+        o.dataset = dataset;
+        o.fidelity = serve::ServeFidelity::Model;
+        o.durationMs = a.real("--duration-ms");
+        o.devices = a.integer("--devices");
+        o.discipline = a.str("--discipline");
+        o.design = a.str("--policy");
+        o.numPes = a.integer("--pes");
+        o.seed = a.uinteger("--seed");
+        return o;
+    };
 
+    Json points = Json::array();
+    Json knees = Json::object();
     Table t({"dataset", "rate", "offered", "done", "lost", "p50(ms)",
              "p99(ms)", "batch", "rps"});
-    for (const auto &dataset : opts.datasets) {
-        for (double rate : opts.rates) {
-            ServingPoint pt;
-            pt.dataset = dataset;
-            pt.rate = rate;
-            pt.opts = baseOptions(opts, dataset);
-            pt.opts.ratePerSec = rate;
-            pt.result = serve::runServe(pt.opts);
-
-            // Determinism gate: a second run of the same options must
-            // render byte-identical JSON (DESIGN.md §10).
-            const serve::ServeResult again = serve::runServe(pt.opts);
-            pt.deterministic = serveToJson(pt.opts, pt.result).dump(2) ==
-                               serveToJson(pt.opts, again).dump(2);
-            if (!pt.deterministic)
-                fail(dataset + " rate " + fixed(rate, 0) +
-                     ": double run diverged");
-            if (!conserved(pt.result))
-                fail(dataset + " rate " + fixed(rate, 0) +
-                     ": request conservation violated");
-            if (pt.result.completed > 0 &&
-                !percentilesOrdered(pt.result.latency))
-                fail(dataset + " rate " + fixed(rate, 0) +
-                     ": latency percentiles out of order");
-
-            t.addRow({dataset, fixed(rate, 0),
-                      std::to_string(pt.result.offered),
-                      std::to_string(pt.result.completed),
-                      std::to_string(pt.result.dropped +
-                                     pt.result.timedOut),
-                      fixed(serve::cyclesToMs(pt.result.latency.p50,
-                                              pt.result.clockMhz),
-                            3),
-                      fixed(serve::cyclesToMs(pt.result.latency.p99,
-                                              pt.result.clockMhz),
-                            3),
-                      fixed(pt.result.meanBatchSize, 2),
-                      fixed(pt.result.throughputRps, 1)});
-            points.push_back(std::move(pt));
-        }
-    }
-    std::printf("%s", t.render().c_str());
-
-    // Closed-loop saturation point per dataset: C clients issuing
-    // back-to-back measure the device pool's peak service throughput.
-    struct Saturation
-    {
-        std::string dataset;
-        serve::ServeResult result;
-    };
-    std::vector<Saturation> saturation;
-    for (const auto &dataset : opts.datasets) {
-        serve::ServeOptions o = baseOptions(opts, dataset);
-        o.arrivals = serve::ArrivalMode::Closed;
-        o.clients = opts.clients;
-        Saturation s{dataset, serve::runServe(o)};
-        if (!conserved(s.result))
-            fail(dataset + " closed loop: request conservation violated");
-        std::printf("%s closed loop: %lld done, %.1f rps saturation, "
-                    "p99 %.3f ms\n",
-                    dataset.c_str(),
-                    static_cast<long long>(s.result.completed),
-                    s.result.throughputRps,
-                    serve::cyclesToMs(s.result.latency.p99,
-                                      s.result.clockMhz));
-        saturation.push_back(std::move(s));
-    }
-
-    Json doc = Json::object();
-    doc.set("schema", "awbsim-bench-serving-v1");
-    doc.set("discipline", opts.discipline);
-    doc.set("devices", opts.devices);
-    doc.set("duration_ms", opts.durationMs);
-    doc.set("policy", opts.policy);
-    doc.set("pes", opts.pes);
-    doc.set("seed", opts.seed);
-    Json jpoints = Json::array();
-    for (const auto &pt : points) {
-        Json p = Json::object();
-        p.set("dataset", pt.dataset);
-        p.set("rate_rps", pt.rate);
-        p.set("offered", pt.result.offered);
-        p.set("completed", pt.result.completed);
-        p.set("dropped", pt.result.dropped);
-        p.set("timed_out", pt.result.timedOut);
-        p.set("batches", pt.result.batches);
-        p.set("mean_batch_size", pt.result.meanBatchSize);
-        p.set("end_cycle", pt.result.endCycle);
-        p.set("p50_cycles", pt.result.latency.p50);
-        p.set("p95_cycles", pt.result.latency.p95);
-        p.set("p99_cycles", pt.result.latency.p99);
-        p.set("p999_cycles", pt.result.latency.p999);
-        p.set("p99_ms", serve::cyclesToMs(pt.result.latency.p99,
-                                          pt.result.clockMhz));
-        p.set("throughput_rps", pt.result.throughputRps);
-        p.set("peak_queue_depth", pt.result.peakQueueDepth);
-        p.set("deterministic", pt.deterministic);
-        jpoints.push(std::move(p));
-    }
-    doc.set("points", std::move(jpoints));
-
-    Json jsat = Json::array();
-    for (const auto &s : saturation) {
-        Json p = Json::object();
-        p.set("dataset", s.dataset);
-        p.set("clients", opts.clients);
-        p.set("completed", s.result.completed);
-        p.set("saturation_rps", s.result.throughputRps);
-        p.set("p99_cycles", s.result.latency.p99);
-        p.set("mean_batch_size", s.result.meanBatchSize);
-        jsat.push(std::move(p));
-    }
-    doc.set("closed_loop", std::move(jsat));
-
-    // The saturation knee of each open-loop curve: the first rate whose
-    // p99 is at least twice the lowest rate's p99 (0 = no knee in range).
-    Json knees = Json::object();
-    for (const auto &dataset : opts.datasets) {
+    for (const auto &dataset : a.items("--datasets")) {
+        // The saturation knee of the curve: the first rate whose p99 is
+        // at least twice the lowest rate's p99 (0 = no knee in range).
         Cycle base_p99 = -1;
         double knee = 0.0;
-        for (const auto &pt : points) {
-            if (pt.dataset != dataset || pt.result.completed == 0)
-                continue;
-            if (base_p99 < 0) base_p99 = pt.result.latency.p99;
-            if (knee == 0.0 && pt.result.latency.p99 >= 2 * base_p99)
-                knee = pt.rate;
+        for (double rate : a.reals("--rates")) {
+            serve::ServeOptions o = baseOptions(dataset);
+            o.ratePerSec = rate;
+            const serve::ServeResult r = serve::runServe(o);
+            const std::string at = dataset + " rate " + fixed(rate, 0);
+
+            // A second run of the same options must render
+            // byte-identical JSON (DESIGN.md §10).
+            const bool deterministic =
+                serveToJson(o, r).dump(2) ==
+                serveToJson(o, serve::runServe(o)).dump(2);
+            if (!deterministic) fail(at + ": double run diverged");
+            if (!conserved(r))
+                fail(at + ": request conservation violated");
+            if (r.completed > 0 && !percentilesOrdered(r.latency))
+                fail(at + ": latency percentiles out of order");
+            if (r.completed > 0) {
+                if (base_p99 < 0) base_p99 = r.latency.p99;
+                if (knee == 0.0 && r.latency.p99 >= 2 * base_p99)
+                    knee = rate;
+            }
+
+            const double p99_ms = serve::cyclesToMs(r.latency.p99,
+                                                    r.clockMhz);
+            t.addRow({dataset, fixed(rate, 0), std::to_string(r.offered),
+                      std::to_string(r.completed),
+                      std::to_string(r.dropped + r.timedOut),
+                      fixed(serve::cyclesToMs(r.latency.p50, r.clockMhz),
+                            3),
+                      fixed(p99_ms, 3), fixed(r.meanBatchSize, 2),
+                      fixed(r.throughputRps, 1)});
+            Json p = Json::object();
+            p.set("dataset", dataset);
+            p.set("rate_rps", rate);
+            p.set("offered", r.offered);
+            p.set("completed", r.completed);
+            p.set("dropped", r.dropped);
+            p.set("timed_out", r.timedOut);
+            p.set("batches", r.batches);
+            p.set("mean_batch_size", r.meanBatchSize);
+            p.set("end_cycle", r.endCycle);
+            p.set("p50_cycles", r.latency.p50);
+            p.set("p95_cycles", r.latency.p95);
+            p.set("p99_cycles", r.latency.p99);
+            p.set("p999_cycles", r.latency.p999);
+            p.set("p99_ms", p99_ms);
+            p.set("throughput_rps", r.throughputRps);
+            p.set("peak_queue_depth", r.peakQueueDepth);
+            p.set("deterministic", deterministic);
+            points.push(std::move(p));
         }
         knees.set(dataset, knee);
     }
-    const auto bench_t1 = std::chrono::steady_clock::now();
+    report.table = t.render();
+
+    // Closed-loop saturation point per dataset: C clients issuing
+    // back-to-back measure the device pool's peak service throughput.
+    Json closed = Json::array();
+    for (const auto &dataset : a.items("--datasets")) {
+        serve::ServeOptions o = baseOptions(dataset);
+        o.arrivals = serve::ArrivalMode::Closed;
+        o.clients = a.integer("--clients");
+        const serve::ServeResult r = serve::runServe(o);
+        if (!conserved(r))
+            fail(dataset + " closed loop: request conservation violated");
+        report.table +=
+            dataset + " closed loop: " + std::to_string(r.completed) +
+            " done, " + fixed(r.throughputRps, 1) + " rps saturation, p99 " +
+            fixed(serve::cyclesToMs(r.latency.p99, r.clockMhz), 3) + " ms\n";
+        Json p = Json::object();
+        p.set("dataset", dataset);
+        p.set("clients", o.clients);
+        p.set("completed", r.completed);
+        p.set("saturation_rps", r.throughputRps);
+        p.set("p99_cycles", r.latency.p99);
+        p.set("mean_batch_size", r.meanBatchSize);
+        closed.push(std::move(p));
+    }
+    report.gates = {{"gates_ok", gate_error.empty(), gate_error}};
+
+    Json &doc = report.doc;
+    doc.set("discipline", a.str("--discipline"));
+    doc.set("devices", a.integer("--devices"));
+    doc.set("duration_ms", a.real("--duration-ms"));
+    doc.set("policy", a.str("--policy"));
+    doc.set("pes", a.integer("--pes"));
+    doc.set("seed", a.uinteger("--seed"));
+    doc.set("points", std::move(points));
+    doc.set("closed_loop", std::move(closed));
     Json summary = Json::object();
-    summary.set("gates_ok", gates_ok);
+    setGateFields(summary, report.gates);
     summary.set("knee_rate_rps", std::move(knees));
-    summary.set("wall_ms",
-                std::chrono::duration<double, std::milli>(bench_t1 -
-                                                          bench_t0)
-                    .count());
+    summary.set("wall_ms", std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count());
     doc.set("summary", std::move(summary));
-
-    const std::string rendered = doc.dump(2);
-    if (opts.jsonPath == "-") {
-        std::printf("%s", rendered.c_str());
-    } else {
-        std::ofstream f(opts.jsonPath);
-        if (!f) fatal("cannot write " + opts.jsonPath);
-        f << rendered;
-        std::printf("bench-serving JSON written to %s\n",
-                    opts.jsonPath.c_str());
-    }
-
-    if (!gates_ok) {
-        std::fprintf(stderr, "bench-serving: SERVING GATE FAILED — %s\n",
-                     gate_error.c_str());
-        return 1;
-    }
-    return 0;
 }
 
-int
-runBenchServingCli(int argc, char **argv, int first)
+} // namespace
+
+BenchSpec
+servingBench()
 {
-    BenchServingOptions opts;
-    for (int i = first; i < argc; ++i) {
-        std::string a = argv[i];
-        auto need = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc) fatal(std::string(flag) + " needs a value");
-            return argv[++i];
-        };
-        if (a == "--datasets") {
-            opts.datasets = splitCsv(need("--datasets"));
-        } else if (a == "--rates") {
-            opts.rates.clear();
-            for (const auto &r : splitCsv(need("--rates")))
-                opts.rates.push_back(parseDouble("--rates", r));
-        } else if (a == "--discipline") {
-            opts.discipline = serve::DisciplineRegistry::instance()
-                                  .get(need("--discipline"))
-                                  .name;
-        } else if (a == "--devices") {
-            opts.devices = parseInt("--devices", need("--devices"));
-        } else if (a == "--duration-ms") {
-            opts.durationMs =
-                parseDouble("--duration-ms", need("--duration-ms"));
-        } else if (a == "--clients") {
-            opts.clients = parseInt("--clients", need("--clients"));
-        } else if (a == "--policy") {
-            opts.policy =
-                PolicyRegistry::instance().get(need("--policy")).name;
-        } else if (a == "--pes") {
-            opts.pes = parseInt("--pes", need("--pes"));
-        } else if (a == "--seed") {
-            opts.seed = parseUint("--seed", need("--seed"));
-        } else if (a == "--json") {
-            opts.jsonPath = need("--json");
-        } else {
-            fatal("unknown bench-serving flag: " + a);
-        }
-    }
-    if (opts.datasets.size() < 2)
-        fatal("--bench-serving needs at least 2 datasets (the tracked "
-              "curve covers multiple non-zero distributions)");
-    if (opts.rates.empty()) fatal("--rates must not be empty");
-    if (opts.devices < 1) fatal("--devices must be >= 1");
-    for (const auto &d : opts.datasets) findDataset(d);
-    return runBenchServing(opts);
+    return {"serving",
+            "Serving baseline: open-loop throughput-vs-p99 curves over >= 2 "
+            "datasets plus a closed-loop saturation point each, gated on "
+            "request conservation, percentile ordering and double-run "
+            "byte-determinism (DESIGN.md §10).",
+            {benchList("--datasets", BenchArg::Dataset, "cora,pubmed",
+                       "datasets")
+                 .needs(2, "--bench-serving needs at least 2 datasets (the "
+                           "tracked curve covers multiple non-zero "
+                           "distributions)"),
+             benchList("--rates", BenchArg::Real,
+                       "25000,50000,100000,200000,400000,800000",
+                       "open-loop offered rates, requests/s")
+                 .needs(1),
+             benchFlag("--discipline", BenchArg::Discipline, "dyn-batch",
+                       "batch discipline"),
+             benchFlag("--devices", BenchArg::Int, "2",
+                       "simulated accelerator count")
+                 .atLeast(1),
+             benchFlag("--duration-ms", BenchArg::Real, "10",
+                       "admission horizon per point, simulated ms"),
+             benchFlag("--clients", BenchArg::Int, "16",
+                       "closed-loop client population"),
+             benchFlag("--policy", BenchArg::Policy, "remote-d",
+                       "balance policy"),
+             benchFlag("--pes", BenchArg::Int, "64", "PE-array size"),
+             seedFlag()},
+            runServing};
 }
 
 } // namespace awb::driver

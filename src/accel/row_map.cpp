@@ -33,13 +33,16 @@ RowPartition::RowPartition(Index rows, int num_pes, RowMapPolicy policy)
     // spread one row each over the first (rows % numPes) PEs so every PE
     // owns either floor or ceil rows (a ceil-sized block for everyone
     // would leave trailing PEs with no rows at all).
+    // Cyclic gives PE p the same count (the rows of residue p), so
+    // either way each list is reserved to its exact size up front.
     const Index base = rows / num_pes;
     const Index extra = rows % num_pes;
     Index next_row = 0;
     for (int p = 0; p < num_pes; ++p) {
-        Index count = (policy == RowMapPolicy::Blocked)
-            ? base + (p < extra ? 1 : 0)
-            : 0;
+        const Index count = base + (p < extra ? 1 : 0);
+        rowsOf_[static_cast<std::size_t>(p)].reserve(
+            static_cast<std::size_t>(count));
+        if (policy != RowMapPolicy::Blocked) continue;
         for (Index i = 0; i < count; ++i) {
             owner_[static_cast<std::size_t>(next_row)] = p;
             rowsOf_[static_cast<std::size_t>(p)].push_back(next_row);
@@ -60,14 +63,19 @@ RowPartition::RowPartition(std::vector<int> owner, int num_pes)
 {
     if (owner_.empty() || num_pes <= 0)
         fatal("RowPartition: rows and PEs must be positive");
-    rowsOf_.resize(static_cast<std::size_t>(num_pes));
-    for (std::size_t r = 0; r < owner_.size(); ++r) {
-        int pe = owner_[r];
+    // Count first so each PE's list is allocated once at its exact size.
+    std::vector<std::size_t> counts(static_cast<std::size_t>(num_pes), 0);
+    for (int pe : owner_) {
         if (pe < 0 || pe >= num_pes)
             fatal("RowPartition: owner entry out of range");
-        rowsOf_[static_cast<std::size_t>(pe)].push_back(
-            static_cast<Index>(r));
+        ++counts[static_cast<std::size_t>(pe)];
     }
+    rowsOf_.resize(static_cast<std::size_t>(num_pes));
+    for (std::size_t p = 0; p < counts.size(); ++p)
+        rowsOf_[p].reserve(counts[p]);
+    for (std::size_t r = 0; r < owner_.size(); ++r)
+        rowsOf_[static_cast<std::size_t>(owner_[r])].push_back(
+            static_cast<Index>(r));
 }
 
 void

@@ -1,19 +1,13 @@
 #include "driver/driver.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "accel/policy.hpp"
 #include "common/log.hpp"
 #include "common/parallel.hpp"
-#include "driver/bench_dynamic.hpp"
-#include "driver/bench_engine.hpp"
-#include "driver/bench_memory.hpp"
-#include "driver/bench_scaleout.hpp"
-#include "driver/bench_serving.hpp"
-#include "driver/bench_spgemm.hpp"
+#include "driver/bench_harness.hpp"
 #include "driver/scenario.hpp"
 #include "driver/serve_cli.hpp"
 #include "driver/sweep.hpp"
@@ -97,85 +91,6 @@ printUsage()
         "                          awbsim_sweep.json; '-' = stdout)\n"
         "      --no-table          suppress the ASCII result table\n"
         "      --progress          per-point progress lines on stderr\n\n"
-        "  awbsim --bench-engine [options]\n"
-        "      Benchmark the event vs. round-batched cycle engines\n"
-        "      (wall-clock + simulated cycles per dataset x PE x policy,\n"
-        "      cross-checked bit-identical) and write the\n"
-        "      awbsim-bench-engine-v1 JSON perf baseline.\n"
-        "      --datasets a,b,..   default cora,citeseer,pubmed\n"
-        "      --pes n1,n2,..      default 64,256\n"
-        "      --policies p1,..    default baseline,remote-d\n"
-        "      --k N               dense-operand columns (default 64)\n"
-        "      --reddit-pes N      also run Reddit at N PEs on the\n"
-        "                          batched engine only (default 0 = skip)\n"
-        "      --reddit-policy P   policy for the Reddit point\n"
-        "                          (default remote-d)\n"
-        "      --seed N / --scale S / --json FILE (default\n"
-        "                          BENCH_engine.json)\n\n"
-        "  awbsim --bench-memory [options]\n"
-        "      Cross-platform memory-model baseline: run the round-level\n"
-        "      GCN model across dataset x policy x platform, verify the\n"
-        "      unconstrained platform is a timing no-op (the equivalence\n"
-        "      gate CI relies on) and write the awbsim-bench-memory-v1\n"
-        "      JSON document (BENCH_memory.json).\n"
-        "      --datasets a,b,..   default cora,citeseer,pubmed,nell,"
-        "reddit\n"
-        "      --policies p1,..    default baseline,remote-d\n"
-        "      --platforms p1,..   default every registered platform\n"
-        "      --pes N             PE-array size (default 1024)\n"
-        "      --seed N / --scale S / --json FILE (default\n"
-        "                          BENCH_memory.json)\n\n"
-        "  awbsim --bench-scaleout [options]\n"
-        "      Multi-chip scaling baseline: shard one dataset across a\n"
-        "      chip-count curve on the round-level model, verify the\n"
-        "      halo-traffic curve is monotone (and zero at 1 chip) and\n"
-        "      write the awbsim-bench-scaleout-v1 JSON document\n"
-        "      (BENCH_scaleout.json; DESIGN.md §9).\n"
-        "      --dataset D         default reddit\n"
-        "      --chips n1,n2,..    default 1,2,4,8,16\n"
-        "      --platforms p1,..   default d5005-ddr4,p100-hbm2\n"
-        "      --policy P          balance policy (default remote-d)\n"
-        "      --pes N             PE-array size per chip (default 1024)\n"
-        "      --seed N / --scale S / --json FILE (default\n"
-        "                          BENCH_scaleout.json)\n\n"
-        "  awbsim --bench-dynamic [options]\n"
-        "      Dynamic-graph streaming baseline: churn-gcn epochs across\n"
-        "      the balance-policy axis with per-epoch carried-vs-fresh\n"
-        "      drift curves and the convergence half-life; gated on\n"
-        "      double-run determinism, event/batched engine equivalence,\n"
-        "      incremental-vs-rebuilt matrix identity and cycle/model\n"
-        "      trajectory agreement; writes the awbsim-bench-dynamic-v1\n"
-        "      JSON document (BENCH_dynamic.json; DESIGN.md §12).\n"
-        "      --datasets a,b,..   default cora,citeseer\n"
-        "      --policies p1,..    default baseline,rescratch,\n"
-        "                          delta-greedy,delta-threshold,remote-d\n"
-        "      --pes N             default 64\n"
-        "      --epochs N          churn batches per run (default 8)\n"
-        "      --events N          churn events per batch (default 256)\n"
-        "      --dense-cols N      feature columns per epoch (default 8)\n"
-        "      --insert-frac F     churn insert:delete mix (default 0.5)\n"
-        "      --drift-tol F       half-life drift tolerance (default\n"
-        "                          0.10)\n"
-        "      --seed N / --scale S / --platform P / --json FILE\n"
-        "                          (default BENCH_dynamic.json)\n\n"
-        "  awbsim --bench-spgemm [options]\n"
-        "      Graph-kernel baseline: BFS and PageRank as iterated\n"
-        "      sparse-output SpGEMMs across the balance-policy axis, with\n"
-        "      per-iteration frontier curves and a rebalance helps/hurts\n"
-        "      verdict per policy; gated on determinism, batched==event\n"
-        "      equivalence, functional correctness vs the scalar\n"
-        "      references, and model-vs-engine traffic equality; writes\n"
-        "      the awbsim-bench-spgemm-v1 JSON document\n"
-        "      (BENCH_spgemm.json; DESIGN.md §11).\n"
-        "      --dataset D         default cora\n"
-        "      --policies p1,..    default baseline,local-b,remote-c,\n"
-        "                          remote-d,work-steal\n"
-        "      --pes N             PE-array size (default 64)\n"
-        "      --source N          BFS source vertex (default 0)\n"
-        "      --damping F / --tol F / --max-iters N   PageRank knobs\n"
-        "      --platform P        default unconstrained\n"
-        "      --seed N / --scale S / --json FILE (default\n"
-        "                          BENCH_spgemm.json)\n\n"
         "  awbsim --serve [options]\n"
         "      Serve a per-user inference request stream on N simulated\n"
         "      accelerators and report SLO-percentile latency statistics\n"
@@ -207,22 +122,9 @@ printUsage()
         "      --devices n1,n2,..  default 1,4\n"
         "      --threads N         worker threads (default: hardware)\n"
         "      plus every --serve knob for the shared base options;\n"
-        "      --json FILE (default awbsim_serve_sweep.json)\n\n"
-        "  awbsim --bench-serving [options]\n"
-        "      Serving baseline: open-loop throughput-vs-p99 curves over\n"
-        "      >= 2 datasets plus a closed-loop saturation point each,\n"
-        "      gated on request conservation, percentile ordering and\n"
-        "      double-run byte-determinism; writes the\n"
-        "      awbsim-bench-serving-v1 JSON document (BENCH_serving.json,\n"
-        "      tracked and diffed by tools/check_bench.py).\n"
-        "      --datasets a,b,..   default cora,pubmed\n"
-        "      --rates r1,r2,..    default 25000..800000, x2 steps\n"
-        "      --discipline D      default dyn-batch\n"
-        "      --devices N         default 2\n"
-        "      --duration-ms D     default 10\n"
-        "      --clients N         closed-loop population (default 16)\n"
-        "      --policy P / --pes N / --seed N / --json FILE (default\n"
-        "                          BENCH_serving.json)\n");
+        "      --json FILE (default awbsim_serve_sweep.json)\n");
+    for (const BenchSpec &spec : benchSpecs())
+        std::printf("\n%s", spec.usage().c_str());
 }
 
 int
@@ -349,15 +251,7 @@ runSweepCli(int argc, char **argv, int first)
     auto outcomes = runSweep(opts, points);
     if (table) std::printf("%s", sweepTable(outcomes).c_str());
 
-    std::string doc = sweepToJson(opts, outcomes).dump(2);
-    if (json_path == "-") {
-        std::printf("%s", doc.c_str());
-    } else {
-        std::ofstream f(json_path);
-        if (!f) fatal("cannot write " + json_path);
-        f << doc;
-        std::printf("sweep JSON written to %s\n", json_path.c_str());
-    }
+    writeJsonDoc(sweepToJson(opts, outcomes), json_path, "sweep");
 
     int failed = 0;
     for (const auto &o : outcomes)
@@ -421,18 +315,9 @@ driverMain(int argc, char **argv)
         return runScenarioCli(cli, /*default_all=*/false);
     }
     if (cmd == "--sweep" || cmd == "sweep") return runSweepCli(argc, argv, 2);
-    if (cmd == "--bench-engine" || cmd == "bench-engine")
-        return runBenchEngineCli(argc, argv, 2);
-    if (cmd == "--bench-memory" || cmd == "bench-memory")
-        return runBenchMemoryCli(argc, argv, 2);
-    if (cmd == "--bench-scaleout" || cmd == "bench-scaleout")
-        return runBenchScaleoutCli(argc, argv, 2);
-    if (cmd == "--bench-serving" || cmd == "bench-serving")
-        return runBenchServingCli(argc, argv, 2);
-    if (cmd == "--bench-spgemm" || cmd == "bench-spgemm")
-        return runBenchSpgemmCli(argc, argv, 2);
-    if (cmd == "--bench-dynamic" || cmd == "bench-dynamic")
-        return runBenchDynamicCli(argc, argv, 2);
+    for (const BenchSpec &spec : benchSpecs())
+        if (cmd == "--bench-" + spec.name || cmd == "bench-" + spec.name)
+            return runBench(spec, {argv + 2, argv + argc});
     if (cmd == "--list-disciplines") return listDisciplines();
     if (cmd == "--serve" || cmd == "serve")
         return runServeCli(argc, argv, 2);

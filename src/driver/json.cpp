@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 
 #include "common/log.hpp"
 
@@ -152,6 +153,21 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         out += '}';
         break;
     }
+}
+
+void
+writeJsonDoc(const Json &doc, const std::string &path,
+             const std::string &what)
+{
+    const std::string rendered = doc.dump(2);
+    if (path == "-") {
+        std::printf("%s", rendered.c_str());
+        return;
+    }
+    std::ofstream f(path);
+    if (!f) fatal("cannot write " + path);
+    f << rendered;
+    std::printf("%s JSON written to %s\n", what.c_str(), path.c_str());
 }
 
 } // namespace awb::driver

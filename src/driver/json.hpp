@@ -85,4 +85,10 @@ std::string jsonEscape(const std::string &s);
 /** The one number-to-text path used for every JSON double. */
 std::string jsonNumber(double v);
 
+/** Write `doc` pretty-printed to `path` and print "<what> JSON written
+ *  to <path>"; `-` prints the document to stdout instead. fatal() when
+ *  the file cannot be opened. */
+void writeJsonDoc(const Json &doc, const std::string &path,
+                  const std::string &what);
+
 } // namespace awb::driver

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <thread>
 
@@ -93,20 +92,6 @@ parseServeFlag(serve::ServeOptions &o, const std::string &a,
         return false;
     }
     return true;
-}
-
-void
-writeDoc(const Json &doc, const std::string &path, const char *what)
-{
-    const std::string rendered = doc.dump(2);
-    if (path == "-") {
-        std::printf("%s", rendered.c_str());
-        return;
-    }
-    std::ofstream f(path);
-    if (!f) fatal("cannot write " + path);
-    f << rendered;
-    std::printf("%s JSON written to %s\n", what, path.c_str());
 }
 
 void
@@ -315,7 +300,7 @@ runServeCli(int argc, char **argv, int first)
         t.addRow(std::move(row));
         std::printf("%s", t.render().c_str());
     }
-    writeDoc(serveToJson(opts, res), json_path, "serve");
+    writeJsonDoc(serveToJson(opts, res), json_path, "serve");
     return 0;
 }
 
@@ -383,7 +368,7 @@ runServeSweepCli(int argc, char **argv, int first)
     for (const auto &o : outcomes)
         jpoints.push(serveToJson(o.opts, o.result));
     doc.set("points", std::move(jpoints));
-    writeDoc(doc, json_path, "serve-sweep");
+    writeJsonDoc(doc, json_path, "serve-sweep");
     return 0;
 }
 

@@ -110,6 +110,7 @@ fold(RunResult &out, const PerfSpmmResult &s)
     out.convergedRound = std::max(out.convergedRound, s.convergedRound);
     out.peakTqDepth = std::max(out.peakTqDepth, s.peakQueueDepth);
     out.bytesTotal += s.traffic.total();
+    out.bytesMigrated += s.traffic.migrationBytes;
     out.memoryCycles += s.memoryCycles;
     out.bwBoundRounds += s.bwBoundRounds;
 }

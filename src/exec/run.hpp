@@ -97,6 +97,8 @@ struct RunResult
      *  batched engine replayed cached rounds; 0 in Model mode). */
     Count roundsSimulated = 0;
     Count bytesTotal = 0;          ///< modelled off-chip traffic (bytes)
+    /** Row-migration share of bytesTotal; Model mode only. */
+    Count bytesMigrated = 0;
     Cycle memoryCycles = 0;        ///< summed per-round bandwidth floors
     Count bwBoundRounds = 0;       ///< rounds stretched to their floor
     Count haloBytes = 0;           ///< inter-chip boundary-row traffic

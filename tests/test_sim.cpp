@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the simulation kernel (FIFO, engine) and the Omega network:
+ * Tests for the simulation FIFO and the Omega network:
  * full src/dest delivery coverage, in-order per-path delivery, contention
  * backpressure, and buffer-occupancy accounting.
  */
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "accel/omega.hpp"
-#include "sim/engine.hpp"
 #include "sim/fifo.hpp"
 
 using namespace awb;
@@ -48,38 +47,6 @@ TEST(Fifo, UnboundedTracksPeak)
     for (int i = 0; i < 10; ++i) q.push(i);
     EXPECT_EQ(q.peakOccupancy(), 100u);
     EXPECT_EQ(q.totalPushes(), 110);
-}
-
-namespace {
-
-/** Component that counts down and goes quiescent. */
-class Countdown : public Component
-{
-  public:
-    explicit Countdown(int n) : Component("countdown"), left_(n) {}
-    void tick(Cycle) override { if (left_ > 0) --left_; }
-    bool quiescent() const override { return left_ == 0; }
-
-  private:
-    int left_;
-};
-
-} // namespace
-
-TEST(Engine, RunsUntilQuiescent)
-{
-    Engine e;
-    Countdown c(10);
-    e.add(&c);
-    EXPECT_EQ(e.run(1000), 10);
-}
-
-TEST(Engine, RespectsMaxCycles)
-{
-    Engine e;
-    Countdown c(100);
-    e.add(&c);
-    EXPECT_EQ(e.run(7), 7);
 }
 
 namespace {
