@@ -99,7 +99,7 @@ BM_CycleEngineCora(benchmark::State &state)
     DenseMatrix b(ds.spec.nodes, 4);
     b.fillUniform(rng, -1.0f, 1.0f);
     for (auto _ : state) {
-        RowPartition part(ds.spec.nodes, cfg.numPes, cfg.mapPolicy);
+        RowPartition part(ds.spec.nodes, cfg.numPes);
         SpmmResult r = SpmmEngine(cfg).execute(ds.adjacency, b,
                                                TdqKind::Tdq2OmegaCsc, part);
         benchmark::DoNotOptimize(r.stats.cycles);

@@ -56,7 +56,7 @@ runCase(const char *label, const CooMatrix &coo)
 
     std::printf("\n%s (%lld non-zeros, 8 PEs):\n", label,
                 static_cast<long long>(a.nnz()));
-    RowPartition workload_view(32, 8, RowMapPolicy::Blocked);
+    RowPartition workload_view(32, 8);
     auto pe_work = workload_view.workload(a.rowNnz());
     std::printf("  per-PE non-zeros: ");
     for (auto w : pe_work) std::printf("%lld ", static_cast<long long>(w));
@@ -67,7 +67,7 @@ runCase(const char *label, const CooMatrix &coo)
     for (Design d : {Design::Baseline, Design::LocalA, Design::LocalB,
                      Design::RemoteC, Design::RemoteD}) {
         AccelConfig cfg = makeConfig(d, 8);
-        RowPartition part(32, 8, cfg.mapPolicy);
+        RowPartition part(32, 8);
         SpmmStats stats = SpmmEngine(cfg)
                               .execute(a, b, TdqKind::Tdq2OmegaCsc, part)
                               .stats;

@@ -7,13 +7,14 @@
  *
  * Usage:
  *   awbgcn_sim [--dataset cora|citeseer|pubmed|nell|reddit]
- *              [--design base|a|b|c|d|eie] [--pes N] [--scale S]
+ *              [--design POLICY] [--pes N] [--scale S]
  *              [--mode model|cycle] [--seed N]
  *              [--save-map FILE] [--load-map FILE]
  *
- * `--mode model` (default) runs the round-level performance model at any
- * scale; `--mode cycle` runs the cycle-accurate engine (use --scale to
- * keep it tractable).
+ * `--design` takes any registered balance-policy name or alias (`awbsim
+ * --list-designs`; default remote-d). `--mode model` (default) runs the
+ * round-level performance model at any scale; `--mode cycle` runs the
+ * cycle-accurate engine (use --scale to keep it tractable).
  */
 
 #include <cstdio>
@@ -22,6 +23,7 @@
 
 #include "accel/gcn_accel.hpp"
 #include "accel/perf_model.hpp"
+#include "accel/policy.hpp"
 #include "accel/report.hpp"
 #include "common/log.hpp"
 #include "gcn/reference.hpp"
@@ -32,22 +34,10 @@ using namespace awb;
 
 namespace {
 
-Design
-parseDesign(const std::string &s)
-{
-    if (s == "base") return Design::Baseline;
-    if (s == "a") return Design::LocalA;
-    if (s == "b") return Design::LocalB;
-    if (s == "c") return Design::RemoteC;
-    if (s == "d") return Design::RemoteD;
-    if (s == "eie") return Design::EieLike;
-    fatal("unknown design '" + s + "' (base|a|b|c|d|eie)");
-}
-
 struct Options
 {
     std::string dataset = "cora";
-    Design design = Design::RemoteD;
+    std::string design = "remote-d";
     int pes = 512;
     double scale = 1.0;
     bool cycleMode = false;
@@ -69,13 +59,16 @@ parseArgs(int argc, char **argv)
         if (a == "--dataset") {
             opt.dataset = need("--dataset");
         } else if (a == "--design") {
-            opt.design = parseDesign(need("--design"));
+            opt.design = need("--design");
         } else if (a == "--pes") {
             opt.pes = std::stoi(need("--pes"));
         } else if (a == "--scale") {
             opt.scale = std::stod(need("--scale"));
         } else if (a == "--mode") {
-            opt.cycleMode = (need("--mode") == std::string("cycle"));
+            const std::string mode = need("--mode");
+            if (mode != "model" && mode != "cycle")
+                fatal("unknown --mode '" + mode + "' (model|cycle)");
+            opt.cycleMode = mode == "cycle";
         } else if (a == "--seed") {
             opt.seed = std::stoull(need("--seed"));
         } else if (a == "--save-map") {
@@ -109,11 +102,12 @@ main(int argc, char **argv)
 {
     Options opt = parseArgs(argc, argv);
     const DatasetSpec &spec = findDataset(opt.dataset);
-    int hop_base = spec.hopOverride > 0 ? spec.hopOverride : 1;
-    AccelConfig cfg = makeConfig(opt.design, opt.pes, hop_base);
+    AccelConfig cfg = makePolicyConfig(opt.design, opt.pes, hopBase(spec));
+    const std::string &label =
+        PolicyRegistry::instance().get(cfg.balancePolicy).label;
 
     std::printf("AWB-GCN simulator — %s on %s (%d PEs, scale %.2f, %s)\n",
-                designName(opt.design).c_str(), spec.name.c_str(), opt.pes,
+                label.c_str(), spec.name.c_str(), opt.pes,
                 opt.scale, opt.cycleMode ? "cycle-accurate" : "round model");
 
     Cycle total = 0;
@@ -164,8 +158,9 @@ main(int argc, char **argv)
 
     // Row-map persistence demo: save/restore a tuned adjacency map.
     if (!opt.saveMap.empty()) {
-        RowPartition part(spec.nodes, cfg.numPes, cfg.mapPolicy);
         WorkloadProfile prof = loadProfile(spec, opt.seed, opt.scale);
+        RowPartition part = makePartitionPolicy(cfg)->build(
+            prof.spec.nodes, prof.aRowNnz, cfg);
         PerfModel(cfg).runSpmm(prof.aRowNnz, spec.f2, part);
         savePartitionFile(opt.saveMap, part);
         std::printf("tuned adjacency row map saved to %s\n",

@@ -6,7 +6,7 @@
  * pipeline rewrites the row map, then the converged configuration is
  * reused for the remaining columns and for the next layer.
  *
- * Run:  ./social_network_autotune
+ * Run:  awbsim run social-autotune
  */
 
 #include <cstdio>
@@ -37,7 +37,7 @@ runSocialAutotune(driver::ScenarioContext &ctx)
 
     auto show = [&](Design d) {
         AccelConfig cfg = makeConfig(d, 32, /*hop_base=*/2);
-        RowPartition part(ds.spec.nodes, cfg.numPes, cfg.mapPolicy);
+        RowPartition part(ds.spec.nodes, cfg.numPes);
         SpmmStats stats = SpmmEngine(cfg)
                               .execute(ds.adjacency, activations,
                                        TdqKind::Tdq2OmegaCsc, part)

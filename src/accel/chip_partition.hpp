@@ -37,8 +37,8 @@ class ChipPartition
 
     /**
      * Shard `rows` rows across `cfg.chips` chips with the
-     * configuration's registered partition policy (cfg.balancePolicy /
-     * cfg.mapPolicy applied at chip granularity).
+     * configuration's registered partition policy (cfg.balancePolicy
+     * applied at chip granularity; blocked when it has none).
      *
      * @param row_work  per-row task count (row-nnz), for load-aware
      *                  policies

@@ -15,13 +15,6 @@
 
 namespace awb {
 
-/** How rows of the sparse operand are initially assigned to PEs. */
-enum class RowMapPolicy
-{
-    Blocked,  ///< n/P consecutive rows per PE (paper Fig. 6)
-    Cyclic,   ///< row i -> PE i mod P
-};
-
 /**
  * Evaluated paper design points. Since the balance-policy redesign this
  * enum is a thin shorthand: each value names a policy registered in the
@@ -91,7 +84,6 @@ struct AccelConfig
     bool remoteSwitching = false;  ///< enable PESM/UGT/SLT path
     int trackingWindow = 2;   ///< PE-tuples tracked concurrently (PESM)
     bool approximateEq5 = false;   ///< hardware-efficient shift-based Eq. 5
-    RowMapPolicy mapPolicy = RowMapPolicy::Blocked;
     int omegaBufferDepth = 8; ///< per-router input buffer slots (TDQ-2)
     /** Omega fabric clock multiple relative to the PE clock: flits one
      *  router output passes per PE cycle. The paper provisions the
@@ -107,8 +99,9 @@ struct AccelConfig
      *  only distinct round-entry states (DESIGN.md §6). */
     EngineKind engine = EngineKind::Event;
     /** Registered balance-policy name (accel/policy.hpp) driving the
-     *  initial partition and per-round rebalancing. Empty = derive from
-     *  the legacy fields (mapPolicy, remoteSwitching), which is what the
+     *  initial partition and per-round rebalancing. Empty, or a policy
+     *  without its own factories, means the blocked map of paper Fig. 6
+     *  and rebalancing from `remoteSwitching`, which is what the
      *  hand-built configs of tests and ablations rely on. */
     std::string balancePolicy;
     /** Registered platform name (model/memory_model.hpp) bounding the

@@ -18,20 +18,32 @@ constexpr double kEieMhz = 285.0;   ///< EIE-like reference frequency
 
 // ------------------------------------------------- partition policies
 
-/** The enum-era static mappings (paper Fig. 6): blocked or cyclic. */
-class StaticMapPartition : public PartitionPolicy
+/** The blocked static map of paper Fig. 6: what a policy without a
+ *  partition factory (the paper designs among them) starts from. */
+class BlockedPartition : public PartitionPolicy
 {
   public:
-    explicit StaticMapPartition(RowMapPolicy policy) : policy_(policy) {}
-
     RowPartition build(Index rows, const std::vector<Count> &,
                        const AccelConfig &cfg) const override
     {
-        return RowPartition(rows, cfg.numPes, policy_);
+        return RowPartition(rows, cfg.numPes);
     }
+};
 
-  private:
-    RowMapPolicy policy_;
+/** Cyclic interleaving, row r -> PE r mod P: a static way to spread
+ *  clustered rows across PEs. */
+class CyclicPartition : public PartitionPolicy
+{
+  public:
+    RowPartition build(Index rows, const std::vector<Count> &,
+                       const AccelConfig &cfg) const override
+    {
+        std::vector<int> owner(static_cast<std::size_t>(rows));
+        for (Index r = 0; r < rows; ++r)
+            owner[static_cast<std::size_t>(r)] =
+                static_cast<int>(r % cfg.numPes);
+        return RowPartition(std::move(owner), cfg.numPes);
+    }
 };
 
 /**
@@ -408,14 +420,6 @@ class RescratchRebalance : public RebalancePolicy
 
 // ------------------------------------------------------------ helpers
 
-/** The enum-era derivation of the paper designs: partition from
- *  cfg.mapPolicy, rebalancing from cfg.remoteSwitching. */
-std::unique_ptr<PartitionPolicy>
-legacyPartition(const AccelConfig &cfg)
-{
-    return std::make_unique<StaticMapPartition>(cfg.mapPolicy);
-}
-
 std::unique_ptr<RebalancePolicy>
 legacyRebalance(const AccelConfig &cfg, Index rows)
 {
@@ -436,9 +440,9 @@ PolicyRegistry::instance()
 PolicyRegistry::PolicyRegistry()
 {
     // The six paper design points (§5.2 / Table 3). Their partition and
-    // rebalance factories are left empty on purpose: they inherit the
-    // legacy config-field derivation, so code that mutates mapPolicy /
-    // remoteSwitching after makeConfig keeps its enum-era meaning.
+    // rebalance factories are left empty on purpose: they start from the
+    // blocked map and derive rebalancing from the config fields, so code
+    // that mutates remoteSwitching after makeConfig keeps its meaning.
     auto paper = [this](std::string name, std::string label,
                         std::string desc, std::vector<std::string> aliases,
                         std::function<void(AccelConfig &, int)> conf,
@@ -495,6 +499,18 @@ PolicyRegistry::PolicyRegistry()
         p.configure = [](AccelConfig &, int) {};
         p.partition = [](const AccelConfig &) {
             return std::make_unique<DegreeSortedPartition>();
+        };
+        add(std::move(p));
+    }
+    {
+        BalancePolicy p;
+        p.name = "cyclic";
+        p.label = "Cyclic";
+        p.description = "static cyclic interleaving: row r on PE r mod P, "
+                        "no runtime rebalancing";
+        p.configure = [](AccelConfig &, int) {};
+        p.partition = [](const AccelConfig &) {
+            return std::make_unique<CyclicPartition>();
         };
         add(std::move(p));
     }
@@ -684,7 +700,7 @@ makePartitionPolicy(const AccelConfig &cfg)
             PolicyRegistry::instance().get(cfg.balancePolicy);
         if (spec.partition) return spec.partition(cfg);
     }
-    return legacyPartition(cfg);
+    return std::make_unique<BlockedPartition>();
 }
 
 std::unique_ptr<RebalancePolicy>

@@ -8,8 +8,8 @@
  * interfaces plus a string-keyed registry, so a new balancing idea is one
  * registration instead of a cross-cutting patch:
  *
- *  - `PartitionPolicy`: builds the initial row→PE map (subsumes the old
- *    `RowMapPolicy` blocked/cyclic switch);
+ *  - `PartitionPolicy`: builds the initial row→PE map (blocked by
+ *    default; `cyclic` and `degree-sorted` register their own);
  *  - `RebalancePolicy`: the per-round observe/adjust/converged protocol
  *    both simulators drive between rounds (subsumes the hard-wired
  *    `RemoteSwitcher`);
@@ -18,10 +18,11 @@
  *
  * The six paper design points are themselves registered policies (the
  * `Design` enum and `makeConfig` are thin lookups over this registry),
- * locked bit-identical to the enum era by tests/test_policy.cpp. Three
- * non-paper policies ship as examples: `degree-sorted` (static LPT
- * partition), `work-steal` (greedy round-level stealing) and `rechunk`
- * (periodic contiguous re-chunking).
+ * locked bit-identical to the enum era by tests/test_policy.cpp. Four
+ * non-paper policies ship as examples: `cyclic` (static row-interleaved
+ * partition), `degree-sorted` (static LPT partition), `work-steal`
+ * (greedy round-level stealing) and `rechunk` (periodic contiguous
+ * re-chunking).
  *
  * Both fidelities — the cycle-accurate SpmmEngine and the round-level
  * PerfModel — resolve their policy objects through `makePartitionPolicy`
@@ -142,11 +143,11 @@ class RemoteSwitchRebalance : public RebalancePolicy
  *
  * `configure` runs inside makePolicyConfig and sets the config fields the
  * policy needs (sharing hops, remote-switching flag, queue shape, ...).
- * `partition` / `rebalance` may be left empty to inherit the legacy
- * derivation from config fields (`mapPolicy`, `remoteSwitching`) — the
- * paper designs do exactly that, which keeps hand-mutated configs (e.g.
- * ablations flipping `mapPolicy` after makeConfig) behaving as they
- * always have.
+ * `partition` / `rebalance` may be left empty: the initial map is then
+ * the blocked one (paper Fig. 6) and rebalancing derives from
+ * `remoteSwitching`. The paper designs do exactly that, which keeps
+ * hand-mutated configs (tests and ablations that edit fields after
+ * makeConfig) behaving as they always have.
  */
 struct BalancePolicy
 {
@@ -221,7 +222,7 @@ AccelConfig configureForPolicy(const BalancePolicy &spec, int num_pes,
 /**
  * Resolve the partition policy of a configuration: the registered
  * policy's factory when `cfg.balancePolicy` names one (and it provides
- * one), else the legacy blocked/cyclic derivation from `cfg.mapPolicy`.
+ * one), else the blocked map of paper Fig. 6.
  */
 std::unique_ptr<PartitionPolicy> makePartitionPolicy(const AccelConfig &cfg);
 

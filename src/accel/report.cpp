@@ -4,6 +4,7 @@
 #include <fstream>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "common/log.hpp"
 
@@ -79,15 +80,13 @@ loadPartition(std::istream &in)
     if (magic != kMagic) fatal("not a saved row map (bad header)");
     if (rows <= 0 || pes <= 0) fatal("saved row map has bad dimensions");
 
-    RowPartition part(rows, pes, RowMapPolicy::Blocked);
-    for (Index r = 0; r < rows; ++r) {
-        int owner = -1;
-        in >> owner;
-        if (!in || owner < 0 || owner >= pes)
+    std::vector<int> owner(static_cast<std::size_t>(rows));
+    for (int &pe : owner) {
+        in >> pe;
+        if (!in || pe < 0 || pe >= pes)
             fatal("saved row map truncated or corrupt");
-        part.moveRow(r, owner);
     }
-    return part;
+    return RowPartition(std::move(owner), pes);
 }
 
 RowPartition

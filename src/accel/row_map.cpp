@@ -22,38 +22,27 @@ nextVersion()
 
 RowPartition::RowPartition() : version_(nextVersion()) {}
 
-RowPartition::RowPartition(Index rows, int num_pes, RowMapPolicy policy)
+RowPartition::RowPartition(Index rows, int num_pes)
     : numPes_(num_pes), version_(nextVersion()),
       owner_(static_cast<std::size_t>(rows)),
       rowsOf_(static_cast<std::size_t>(num_pes))
 {
     if (rows <= 0 || num_pes <= 0)
         fatal("RowPartition: rows and PEs must be positive");
-    // Blocked: contiguous blocks as in paper Fig. 6, with the remainder
-    // spread one row each over the first (rows % numPes) PEs so every PE
-    // owns either floor or ceil rows (a ceil-sized block for everyone
-    // would leave trailing PEs with no rows at all).
-    // Cyclic gives PE p the same count (the rows of residue p), so
-    // either way each list is reserved to its exact size up front.
+    // Contiguous blocks as in paper Fig. 6, with the remainder spread
+    // one row each over the first (rows % numPes) PEs so every PE owns
+    // either floor or ceil rows (a ceil-sized block for everyone would
+    // leave trailing PEs with no rows at all).
     const Index base = rows / num_pes;
     const Index extra = rows % num_pes;
     Index next_row = 0;
     for (int p = 0; p < num_pes; ++p) {
         const Index count = base + (p < extra ? 1 : 0);
-        rowsOf_[static_cast<std::size_t>(p)].reserve(
-            static_cast<std::size_t>(count));
-        if (policy != RowMapPolicy::Blocked) continue;
-        for (Index i = 0; i < count; ++i) {
+        auto &mine = rowsOf_[static_cast<std::size_t>(p)];
+        mine.reserve(static_cast<std::size_t>(count));
+        for (Index i = 0; i < count; ++i, ++next_row) {
             owner_[static_cast<std::size_t>(next_row)] = p;
-            rowsOf_[static_cast<std::size_t>(p)].push_back(next_row);
-            ++next_row;
-        }
-    }
-    if (policy == RowMapPolicy::Cyclic) {
-        for (Index r = 0; r < rows; ++r) {
-            int pe = static_cast<int>(r % num_pes);
-            owner_[static_cast<std::size_t>(r)] = pe;
-            rowsOf_[static_cast<std::size_t>(pe)].push_back(r);
+            mine.push_back(next_row);
         }
     }
 }

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "accel/config.hpp"
 #include "common/types.hpp"
 
 namespace awb {
@@ -33,8 +32,9 @@ class RowPartition
   public:
     RowPartition();
 
-    /** Build the static initial mapping. */
-    RowPartition(Index rows, int num_pes, RowMapPolicy policy);
+    /** The blocked static map of paper Fig. 6: consecutive rows per PE,
+     *  floor(rows/P) or ceil(rows/P) each. */
+    RowPartition(Index rows, int num_pes);
 
     /** Adopt an explicit row→PE assignment (balance policies that
      *  compute the whole map at once). Every entry must be in

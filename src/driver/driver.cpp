@@ -55,8 +55,8 @@ printUsage()
         "      with --discipline (DESIGN.md §10).\n\n"
         "  awbsim run <scenario ...> [--seed N] [--scale S] [--repeat N]\n"
         "             [--json FILE] [args ...]\n"
-        "      Run scenarios by name ('all' = every one). Extra\n"
-        "      positional args are passed to the scenarios.\n\n"
+        "      Run scenarios by name ('all' = every one). Positional\n"
+        "      args after a scenario name are passed to the scenarios.\n\n"
         "  awbsim --sweep [options]\n"
         "      Expand and run a configuration grid on a worker pool.\n"
         "      --datasets a,b,..   default cora,citeseer,pubmed,nell,reddit\n"
@@ -306,13 +306,12 @@ driverMain(int argc, char **argv)
     if (cmd == "--list-platforms") return listPlatforms();
     if (cmd == "--list-datasets") return listDatasets();
     if (cmd == "run") {
-        ScenarioCli cli = parseScenarioCli(argc, argv, 2,
-                                           /*warn_unknown=*/true);
+        ScenarioCli cli = parseScenarioCli(argc, argv, 2);
         if (cli.help) {
             printUsage();
             return 0;
         }
-        return runScenarioCli(cli, /*default_all=*/false);
+        return runScenarioCli(cli);
     }
     if (cmd == "--sweep" || cmd == "sweep") return runSweepCli(argc, argv, 2);
     for (const BenchSpec &spec : benchSpecs())

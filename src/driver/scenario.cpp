@@ -114,7 +114,7 @@ splitCsv(const std::string &s)
 }
 
 ScenarioCli
-parseScenarioCli(int argc, char **argv, int first, bool warn_unknown)
+parseScenarioCli(int argc, char **argv, int first)
 {
     ScenarioCli cli;
     for (int i = first; i < argc; ++i) {
@@ -139,12 +139,10 @@ parseScenarioCli(int argc, char **argv, int first, bool warn_unknown)
             cli.names.push_back(a);
         } else if (!a.empty() && a[0] == '-') {
             fatal("unknown flag: " + a);
+        } else if (cli.names.empty() && !cli.runAll) {
+            fatal("'" + a + "' is not a scenario name; "
+                  "'awbsim --list-scenarios' lists them");
         } else {
-            // On the multi-scenario surface a misspelled scenario name
-            // would land here and vanish silently; surface it.
-            if (warn_unknown)
-                warn("'" + a + "' is not a scenario name; passing it to "
-                     "the selected scenarios as an argument");
             cli.ctx.args.push_back(a);
         }
     }
@@ -152,19 +150,17 @@ parseScenarioCli(int argc, char **argv, int first, bool warn_unknown)
 }
 
 int
-runScenarioCli(ScenarioCli &cli, bool default_all)
+runScenarioCli(ScenarioCli &cli)
 {
     std::vector<const Scenario *> to_run;
-    if (cli.runAll || (default_all && cli.names.empty())) {
+    if (cli.runAll) {
         to_run = ScenarioRegistry::instance().all();
     } else {
         for (const auto &n : cli.names)
             to_run.push_back(ScenarioRegistry::instance().find(n));
     }
-    if (to_run.empty()) {
-        if (default_all) fatal("no scenarios linked into this binary");
+    if (to_run.empty())
         fatal("no scenario named; try 'awbsim --list-scenarios'");
-    }
 
     Json results = Json::object();
     for (const Scenario *s : to_run) {
@@ -190,22 +186,6 @@ runScenarioCli(ScenarioCli &cli, bool default_all)
         }
     }
     return 0;
-}
-
-int
-scenarioMain(int argc, char **argv)
-{
-    ScenarioCli cli = parseScenarioCli(argc, argv, 1);
-    if (cli.help) {
-        std::printf("usage: %s [scenario ...] [--seed N] [--scale S] "
-                    "[--repeat N] [--json FILE] [args ...]\n\nscenarios:\n",
-                    argv[0]);
-        for (const Scenario *s : ScenarioRegistry::instance().all())
-            std::printf("  %-24s %s\n", s->name.c_str(),
-                        s->summary.c_str());
-        return 0;
-    }
-    return runScenarioCli(cli, /*default_all=*/true);
 }
 
 } // namespace awb::driver

@@ -2,8 +2,7 @@
  * @file
  * Scenario registry: every paper experiment (bench_* figure/table
  * reproduction, example walk-through) registers itself here as a named
- * scenario and is then runnable from the unified `awbsim` driver or from
- * its historical thin per-scenario executable.
+ * scenario and is then runnable as `awbsim run <name>`.
  *
  * A scenario is a function taking a ScenarioContext — shared argument
  * parsing, seeding, scaling and repeat logic live in the driver, not in
@@ -72,8 +71,7 @@ struct ScenarioRegistrar
 /** Print the scenario banner the old bench mains printed. */
 void scenarioBanner(const Scenario &s);
 
-/** Parsed state of the shared scenario CLI (`awbsim run ...` and the
- *  per-scenario executables use the same contract). */
+/** Parsed state of the scenario CLI (`awbsim run ...`). */
 struct ScenarioCli
 {
     ScenarioContext ctx;
@@ -86,25 +84,19 @@ struct ScenarioCli
 
 /**
  * Parse argv[first..): --seed/--scale/--repeat/--json, scenario names,
- * "all", and scenario-specific positional args. Unknown flags are
- * fatal(). With `warn_unknown` (the multi-scenario `awbsim run`
- * surface), unknown positional tokens go to ctx.args with a warning —
- * a misspelled scenario name would otherwise vanish silently; the
- * per-scenario executables expect positional args and stay quiet.
+ * "all", and scenario-specific positional args. A token that is not a
+ * scenario name is an argument of the scenarios selected before it
+ * (`run citation-network cora`); before any scenario name or "all" it
+ * is fatal(), so a misspelled name cannot vanish. Unknown flags are
+ * fatal().
  */
-ScenarioCli parseScenarioCli(int argc, char **argv, int first,
-                             bool warn_unknown = false);
+ScenarioCli parseScenarioCli(int argc, char **argv, int first);
 
 /**
- * Run the scenarios the CLI selected. With no names, runs every linked
- * scenario when `default_all` (per-scenario executables) and fails
- * otherwise (`awbsim run` demands an explicit name or "all").
- * Returns a process exit code.
+ * Run the scenarios the CLI selected; fatal() when it named none and
+ * not "all". Returns a process exit code.
  */
-int runScenarioCli(ScenarioCli &cli, bool default_all);
-
-/** main() body of every per-scenario executable. */
-int scenarioMain(int argc, char **argv);
+int runScenarioCli(ScenarioCli &cli);
 
 /** fatal()-on-malformed-input numeric parsing for the driver CLIs. */
 std::uint64_t parseUint(const std::string &flag, const std::string &v);

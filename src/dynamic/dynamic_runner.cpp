@@ -33,8 +33,7 @@ DynamicRunner::DynamicRunner(const AccelConfig &cfg,
                              const ChurnParams &churn,
                              const DynamicOptions &opts)
     : cfg_(cfg), execCfg_(staticExecConfig(cfg)), opts_(opts),
-      stream_(initial, churn), delta_(initial),
-      partition_(initial.rows(), cfg.numPes, cfg.mapPolicy)
+      stream_(initial, churn), delta_(initial)
 {
     std::string err = cfg_.validate();
     if (!err.empty()) fatal("DynamicRunner: " + err);

@@ -13,6 +13,7 @@
 #include "accel/config.hpp"
 #include "accel/local_share.hpp"
 #include "accel/pe.hpp"
+#include "accel/policy.hpp"
 #include "accel/rebalance.hpp"
 #include "accel/row_map.hpp"
 
@@ -55,7 +56,7 @@ TEST(Config, NellHopOverride)
 
 TEST(RowPartition, BlockedAssignsContiguous)
 {
-    RowPartition part(16, 8, RowMapPolicy::Blocked);
+    RowPartition part(16, 8);
     // Paper Fig. 6: each two consecutive rows to one PE.
     for (Index r = 0; r < 16; ++r) EXPECT_EQ(part.owner(r), r / 2);
     EXPECT_TRUE(part.consistent());
@@ -63,13 +64,21 @@ TEST(RowPartition, BlockedAssignsContiguous)
 
 TEST(RowPartition, CyclicAssignsRoundRobin)
 {
-    RowPartition part(16, 4, RowMapPolicy::Cyclic);
+    // The registered `cyclic` policy: row r on PE r mod P, each PE's
+    // rows listed in ascending order.
+    AccelConfig cfg = makePolicyConfig("cyclic", 4);
+    RowPartition part = makePartitionPolicy(cfg)->build(
+        16, std::vector<Count>(16, 1), cfg);
     for (Index r = 0; r < 16; ++r) EXPECT_EQ(part.owner(r), r % 4);
+    for (int p = 0; p < 4; ++p)
+        EXPECT_EQ(part.rowsOf(p),
+                  (std::vector<Index>{p, p + 4, p + 8, p + 12}));
+    EXPECT_TRUE(part.consistent());
 }
 
 TEST(RowPartition, MoveAndWorkload)
 {
-    RowPartition part(8, 2, RowMapPolicy::Blocked);
+    RowPartition part(8, 2);
     std::vector<Count> work = {5, 5, 5, 5, 1, 1, 1, 1};
     auto w = part.workload(work);
     EXPECT_EQ(w[0], 20);
@@ -83,7 +92,7 @@ TEST(RowPartition, MoveAndWorkload)
 
 TEST(RowPartition, VersionMovesExactlyWhenTheMapChanges)
 {
-    RowPartition part(8, 2, RowMapPolicy::Blocked);
+    RowPartition part(8, 2);
     const auto v0 = part.version();
     EXPECT_NE(v0, 0u);
     part.moveRow(0, 0);  // already owned by PE 0
@@ -100,8 +109,8 @@ TEST(RowPartition, VersionMovesExactlyWhenTheMapChanges)
     EXPECT_EQ(copy.owners(), part.owners());
 
     // Identical content built twice is still two histories.
-    const RowPartition a(8, 2, RowMapPolicy::Blocked);
-    const RowPartition b(8, 2, RowMapPolicy::Blocked);
+    const RowPartition a(8, 2);
+    const RowPartition b(8, 2);
     EXPECT_EQ(a.owners(), b.owners());
     EXPECT_NE(a.version(), b.version());
 
@@ -115,7 +124,7 @@ TEST(RowPartition, VersionMovesExactlyWhenTheMapChanges)
 
 TEST(RowPartition, SwapRows)
 {
-    RowPartition part(8, 2, RowMapPolicy::Blocked);
+    RowPartition part(8, 2);
     part.swapRows({0, 1}, {4, 5}, 0, 1);
     EXPECT_EQ(part.owner(0), 1);
     EXPECT_EQ(part.owner(4), 0);
@@ -332,7 +341,7 @@ remoteOnlyConfig(int pes)
 TEST(RemoteSwitch, FirstSightingMeasuresOnly)
 {
     AccelConfig cfg = remoteOnlyConfig(4);
-    RowPartition part(16, 4, RowMapPolicy::Blocked);
+    RowPartition part(16, 4);
     std::vector<Count> work(16, 1);
     for (int r = 0; r < 4; ++r) work[static_cast<std::size_t>(r)] = 50;
 
@@ -345,7 +354,7 @@ TEST(RemoteSwitch, FirstSightingMeasuresOnly)
 TEST(RemoteSwitch, SecondRoundMovesRows)
 {
     AccelConfig cfg = remoteOnlyConfig(4);
-    RowPartition part(16, 4, RowMapPolicy::Blocked);
+    RowPartition part(16, 4);
     std::vector<Count> work(16, 1);
     for (int r = 0; r < 4; ++r) work[static_cast<std::size_t>(r)] = 50;
 
@@ -360,7 +369,7 @@ TEST(RemoteSwitch, ConvergesOnSkewedWorkload)
 {
     AccelConfig cfg = remoteOnlyConfig(8);
     const Index rows = 64;
-    RowPartition part(rows, 8, RowMapPolicy::Blocked);
+    RowPartition part(rows, 8);
     std::vector<Count> work(static_cast<std::size_t>(rows), 1);
     // One heavy block of rows on PE 0 (local imbalance the switcher must
     // spread), mild noise elsewhere.
@@ -383,7 +392,7 @@ TEST(RemoteSwitch, ConvergesOnSkewedWorkload)
 TEST(RemoteSwitch, BalancedInputConvergesImmediately)
 {
     AccelConfig cfg = remoteOnlyConfig(4);
-    RowPartition part(16, 4, RowMapPolicy::Blocked);
+    RowPartition part(16, 4);
     std::vector<Count> work(16, 3);
     RemoteSwitcher sw(cfg, 16);
     EXPECT_EQ(sw.observeAndAdjust(observe(part, work), work, part), 0);
@@ -396,7 +405,7 @@ TEST(RemoteSwitch, ApproximateEq5AlsoConverges)
     AccelConfig cfg = remoteOnlyConfig(8);
     cfg.approximateEq5 = true;
     const Index rows = 64;
-    RowPartition part(rows, 8, RowMapPolicy::Blocked);
+    RowPartition part(rows, 8);
     std::vector<Count> work(static_cast<std::size_t>(rows), 1);
     for (int r = 0; r < 8; ++r) work[static_cast<std::size_t>(r)] = 20;
 

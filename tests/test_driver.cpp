@@ -131,6 +131,34 @@ TEST(ScenarioRegistry, RunReceivesContext)
     EXPECT_EQ(ctx.result.dump(), "{\"ran\":true}");
 }
 
+TEST(ScenarioCli, TokenAfterAScenarioIsItsArgument)
+{
+    ScenarioRegistrar r({"test-scenario-cli", "Test", "argument check",
+                         [](ScenarioContext &) {}});
+    char prog[] = "awbsim", run[] = "run", name[] = "test-scenario-cli",
+         all[] = "all", arg[] = "cora";
+    char *named[] = {prog, run, name, arg};
+    char *everything[] = {prog, run, all, arg};
+
+    testing::internal::CaptureStderr();
+    ScenarioCli cli = parseScenarioCli(4, named, 2);
+    ScenarioCli cli_all = parseScenarioCli(4, everything, 2);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+
+    EXPECT_EQ(cli.names, std::vector<std::string>{"test-scenario-cli"});
+    EXPECT_EQ(cli.ctx.args, std::vector<std::string>{"cora"});
+    EXPECT_TRUE(cli_all.runAll);
+    EXPECT_EQ(cli_all.ctx.args, std::vector<std::string>{"cora"});
+}
+
+TEST(ScenarioCliDeath, StrayTokenBeforeAnyScenarioIsFatal)
+{
+    char prog[] = "awbsim", run[] = "run", stray[] = "cora";
+    char *argv[] = {prog, run, stray};
+    EXPECT_EXIT(parseScenarioCli(3, argv, 2), ::testing::ExitedWithCode(1),
+                "'cora' is not a scenario name.*awbsim --list-scenarios");
+}
+
 // ---------------------------------------------------------------- grid
 
 TEST(SweepGrid, ExpansionIsFullCrossProduct)

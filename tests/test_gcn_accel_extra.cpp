@@ -11,6 +11,7 @@
 #include <numeric>
 
 #include "accel/gcn_accel.hpp"
+#include "accel/policy.hpp"
 #include "accel/spmm_engine.hpp"
 #include "common/rng.hpp"
 #include "gcn/reference.hpp"
@@ -159,7 +160,7 @@ TEST(StatsInvariants, RoundCyclesSumToTotal)
     b.fillUniform(rng, -1.0f, 1.0f);
 
     AccelConfig cfg = makeConfig(Design::RemoteC, 16);
-    RowPartition part(ds.spec.nodes, 16, cfg.mapPolicy);
+    RowPartition part(ds.spec.nodes, 16);
     SpmmStats stats = SpmmEngine(cfg)
                           .execute(ds.adjacency, b,
                                    TdqKind::Tdq2OmegaCsc, part)
@@ -182,7 +183,7 @@ TEST(StatsInvariants, UtilizationIdentity)
     b.fillUniform(rng, -1.0f, 1.0f);
 
     AccelConfig cfg = makeConfig(Design::Baseline, 8);
-    RowPartition part(ds.spec.nodes, 8, cfg.mapPolicy);
+    RowPartition part(ds.spec.nodes, 8);
     SpmmStats stats = SpmmEngine(cfg)
                           .execute(ds.adjacency, b,
                                    TdqKind::Tdq2OmegaCsc, part)
@@ -213,8 +214,7 @@ TEST(CyclicMap, FunctionalAndDeclustersNell)
     auto model = makeGcnModel(ds.spec.f1, ds.spec.f2, ds.spec.f3, 13);
 
     AccelConfig blocked = makeConfig(Design::Baseline, 16);
-    AccelConfig cyclic = makeConfig(Design::Baseline, 16);
-    cyclic.mapPolicy = RowMapPolicy::Cyclic;
+    AccelConfig cyclic = makePolicyConfig("cyclic", 16);
 
     auto run_b = runGcn(blocked, ds, model);
     auto run_c = runGcn(cyclic, ds, model);

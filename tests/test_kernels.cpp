@@ -216,7 +216,7 @@ TEST(SpgemmEngine, ObservesAfterLastRound)
     CscMatrix a = CscMatrix::fromCoo(coo);
     CscMatrix x = CscMatrix::fromCoo(heavy);
     AccelConfig cfg = makePolicyConfig("work-steal", 8, 1);
-    RowPartition part(a.rows(), cfg.numPes, cfg.mapPolicy);
+    RowPartition part(a.rows(), cfg.numPes);
     std::vector<int> before = part.owners();
     SpgemmResult r = SpmmEngine(cfg).executeSpgemm(a, x, part);
     EXPECT_EQ(r.stats.rounds, 1);

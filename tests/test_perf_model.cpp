@@ -281,13 +281,13 @@ runBoth(Design design, const char *dataset, double scale, int pes,
 
     FidelityPair out;
     {
-        RowPartition part(ds.spec.nodes, pes, cfg.mapPolicy);
+        RowPartition part(ds.spec.nodes, pes);
         out.cyc = SpmmEngine(cfg)
                       .execute(ds.adjacency, b, TdqKind::Tdq2OmegaCsc, part)
                       .stats;
     }
     {
-        RowPartition part(ds.spec.nodes, pes, cfg.mapPolicy);
+        RowPartition part(ds.spec.nodes, pes);
         out.prf = PerfModel(cfg).runSpmm(ds.adjacency.rowNnz(), rounds,
                                          part);
     }

@@ -179,8 +179,8 @@ TEST(PolicyWrapper, MatchesRemoteSwitcherRoundByRound)
     std::vector<Count> work(static_cast<std::size_t>(rows), 1);
     for (int r = 0; r < 8; ++r) work[static_cast<std::size_t>(r)] = 20;
 
-    RowPartition part_direct(rows, 8, RowMapPolicy::Blocked);
-    RowPartition part_policy(rows, 8, RowMapPolicy::Blocked);
+    RowPartition part_direct(rows, 8);
+    RowPartition part_policy(rows, 8);
     RemoteSwitcher direct(cfg, rows);
     std::unique_ptr<RebalancePolicy> wrapped =
         makeRebalancePolicy(cfg, rows);
@@ -207,7 +207,7 @@ TEST(PolicyWrapper, StaticDesignsGetTheNullRebalance)
                      Design::EieLike}) {
         AccelConfig cfg = makeConfig(d, 8);
         auto rebalance = makeRebalancePolicy(cfg, 64);
-        RowPartition part(64, 8, RowMapPolicy::Blocked);
+        RowPartition part(64, 8);
         std::vector<Count> work(64, 1);
         EXPECT_EQ(rebalance->observeAndAdjust(observe(part, work), work,
                                               part),
@@ -223,8 +223,9 @@ TEST(PolicyWrapper, StaticDesignsGetTheNullRebalance)
 namespace {
 
 /**
- * The enum-era PerfModel::runSpmm, verbatim: RowPartition from
- * cfg.mapPolicy, a RemoteSwitcher driven only when cfg.remoteSwitching.
+ * The enum-era PerfModel::runSpmm, verbatim: the blocked RowPartition
+ * (every paper design's initial map), a RemoteSwitcher driven only when
+ * cfg.remoteSwitching.
  * The policy-driven PerfModel must reproduce these numbers bit for bit.
  */
 PerfSpmmResult
@@ -306,12 +307,12 @@ legacyRunGcn(const AccelConfig &cfg, const WorkloadProfile &profile)
 {
     const Index n = profile.spec.nodes;
     LegacyGcnNumbers out;
-    RowPartition part_a(n, cfg.numPes, cfg.mapPolicy);
+    RowPartition part_a(n, cfg.numPes);
     const std::vector<Count> *x_rows[2] = {&profile.x1RowNnz,
                                            &profile.x2RowNnz};
     const Index rounds[2] = {profile.spec.f2, profile.spec.f3};
     for (int l = 0; l < 2; ++l) {
-        RowPartition part_x(n, cfg.numPes, cfg.mapPolicy);
+        RowPartition part_x(n, cfg.numPes);
         PerfSpmmResult xw =
             legacyRunSpmm(cfg, *x_rows[l], rounds[l], part_x);
         PerfSpmmResult ax =
@@ -387,7 +388,7 @@ TEST(DegreeSortedPartition, BalancesAtLeastAsWellAsBlocked)
 
     RowPartition lpt = makePartitionPolicy(cfg)->build(rows, work, cfg);
     EXPECT_TRUE(lpt.consistent());
-    RowPartition blocked(rows, 8, RowMapPolicy::Blocked);
+    RowPartition blocked(rows, 8);
 
     auto spread = [&](const RowPartition &p) {
         auto w = p.workload(work);
@@ -472,7 +473,7 @@ TEST(WorkStealPolicy, ClosesTheGapAndConverges)
     const Index rows = 64;
     std::vector<Count> work(static_cast<std::size_t>(rows), 1);
     for (int r = 0; r < 8; ++r) work[static_cast<std::size_t>(r)] = 20;
-    RowPartition part(rows, 8, RowMapPolicy::Blocked);
+    RowPartition part(rows, 8);
     auto rebalance = makeRebalancePolicy(cfg, rows);
 
     auto gap = [&]() {
@@ -499,7 +500,7 @@ TEST(RechunkPolicy, RebuildsContiguousChunksAndReachesAFixedPoint)
     const Index rows = 64;
     std::vector<Count> work(static_cast<std::size_t>(rows), 1);
     for (int r = 0; r < 8; ++r) work[static_cast<std::size_t>(r)] = 20;
-    RowPartition part(rows, 8, RowMapPolicy::Blocked);
+    RowPartition part(rows, 8);
     auto rebalance = makeRebalancePolicy(cfg, rows);
 
     auto max_load = [&]() {

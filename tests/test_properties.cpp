@@ -21,6 +21,7 @@
 
 #include "accel/omega.hpp"
 #include "accel/perf_model.hpp"
+#include "accel/policy.hpp"
 #include "accel/rebalance.hpp"
 #include "accel/spmm_engine.hpp"
 #include "common/rng.hpp"
@@ -120,9 +121,7 @@ TEST_P(EngineKnobs, FunctionalUnderAllKnobs)
              c.omegaBufferDepth = 1;
          }},
         {"onePort", [](AccelConfig &c) { c.receivePorts = 1; }},
-        {"cyclicMap", [](AccelConfig &c) {
-             c.mapPolicy = RowMapPolicy::Cyclic;
-         }},
+        {"cyclicMap", [](AccelConfig &c) { c.balancePolicy = "cyclic"; }},
     };
     const KnobCase &kc = cases[static_cast<std::size_t>(GetParam())];
 
@@ -141,7 +140,8 @@ TEST_P(EngineKnobs, FunctionalUnderAllKnobs)
          {TdqKind::Tdq1DenseScan, TdqKind::Tdq2OmegaCsc}) {
         AccelConfig cfg = makeConfig(Design::RemoteD, 8);
         kc.apply(cfg);
-        RowPartition part(60, 8, cfg.mapPolicy);
+        RowPartition part =
+            makePartitionPolicy(cfg)->build(60, a.rowNnz(), cfg);
         auto [c, stats] = SpmmEngine(cfg).execute(a, b, kind, part);
         EXPECT_LT(golden.maxAbsDiff(c), 1e-4)
             << kc.name << " kind=" << static_cast<int>(kind);
@@ -184,7 +184,7 @@ TEST(RemoteSwitchProperty, WorkloadConservedUnderAnySequence)
 
     AccelConfig cfg = makeConfig(Design::RemoteC, pes);
     cfg.sharingHops = 0;
-    RowPartition part(rows, pes, cfg.mapPolicy);
+    RowPartition part(rows, pes);
     RemoteSwitcher sw(cfg, rows);
 
     for (int round = 0; round < 40; ++round) {
@@ -210,7 +210,7 @@ TEST(RemoteSwitchProperty, NeverIncreasesMaxLoadAfterConvergence)
 
     AccelConfig cfg = makeConfig(Design::RemoteC, pes);
     cfg.sharingHops = 0;
-    RowPartition part(rows, pes, cfg.mapPolicy);
+    RowPartition part(rows, pes);
     RemoteSwitcher sw(cfg, rows);
 
     auto max_load = [&]() {

@@ -58,7 +58,7 @@ TEST(Heatmap, EmptyInput)
 TEST(RowMapPersistence, RoundTripPreservesOwnership)
 {
     Rng rng(4);
-    RowPartition part(100, 8, RowMapPolicy::Blocked);
+    RowPartition part(100, 8);
     // Scramble it the way remote switching would.
     for (int i = 0; i < 50; ++i)
         part.moveRow(rng.nextIndex(100), static_cast<int>(rng.nextIndex(8)));
@@ -84,10 +84,20 @@ TEST(RowMapPersistence, RejectsBadHeader)
 
 TEST(RowMapPersistence, RejectsTruncated)
 {
-    RowPartition part(10, 2, RowMapPolicy::Blocked);
+    RowPartition part(10, 2);
     std::stringstream ss;
     savePartition(ss, part);
     std::string text = ss.str();
     std::stringstream cut(text.substr(0, text.size() / 2));
     EXPECT_DEATH(loadPartition(cut), "");
+}
+
+TEST(RowMapPersistence, RejectsOutOfRangeOwner)
+{
+    // A well-formed header and the full entry count, but one owner names
+    // PE 2 of a 2-PE map; a negative owner is just as corrupt.
+    std::stringstream high("awbgcn-rowmap-v1 4 2\n0 1 2 1\n");
+    EXPECT_DEATH(loadPartition(high), "truncated or corrupt");
+    std::stringstream negative("awbgcn-rowmap-v1 4 2\n0 -1 1 1\n");
+    EXPECT_DEATH(loadPartition(negative), "truncated or corrupt");
 }

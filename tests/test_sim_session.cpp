@@ -34,7 +34,7 @@ legacyReferenceRun(const AccelConfig &cfg, const Dataset &ds,
 {
     const Index n = ds.adjacency.rows();
     GcnRunResult res;
-    RowPartition part_a(n, cfg.numPes, cfg.mapPolicy);
+    RowPartition part_a(n, cfg.numPes);
     CscMatrix x_csc = csrToCsc(ds.features);
     SpmmEngine engine(cfg);
 
@@ -42,7 +42,7 @@ legacyReferenceRun(const AccelConfig &cfg, const Dataset &ds,
         const DenseMatrix &w = model.weights[static_cast<std::size_t>(l)];
         GcnLayerResult layer;
 
-        RowPartition part_x(n, cfg.numPes, cfg.mapPolicy);
+        RowPartition part_x(n, cfg.numPes);
         SpmmResult xw =
             engine.execute(x_csc, w, TdqKind::Tdq1DenseScan, part_x);
         layer.xw = std::move(xw.stats);
@@ -332,8 +332,8 @@ TEST(Engine, RepeatedExecuteFromFreshPartitionsIsDeterministic)
     Rng rng(37);
     DenseMatrix b(ds.spec.nodes, 5);
     b.fillUniform(rng, -1.0f, 1.0f);
-    RowPartition part_one(ds.spec.nodes, 16, cfg.mapPolicy);
-    RowPartition part_two(ds.spec.nodes, 16, cfg.mapPolicy);
+    RowPartition part_one(ds.spec.nodes, 16);
+    RowPartition part_two(ds.spec.nodes, 16);
     SpmmEngine engine(cfg);
     SpmmResult one =
         engine.execute(ds.adjacency, b, TdqKind::Tdq2OmegaCsc, part_one);

@@ -75,7 +75,7 @@ TEST_P(EngineFunctional, MatchesReferenceSpmm)
     auto b = randomDense(rng, n, k);
 
     AccelConfig cfg = makeConfig(design, 8);
-    RowPartition part(m, cfg.numPes, cfg.mapPolicy);
+    RowPartition part(m, cfg.numPes);
     auto [c, stats] = SpmmEngine(cfg).execute(a, b, kind, part);
 
     auto golden = spmmCsc(a, b);
@@ -101,7 +101,7 @@ TEST(Engine, IdealCyclesLowerBound)
     auto a = randomSparse(rng, 64, 64, 0.1);
     auto b = randomDense(rng, 64, 4);
     AccelConfig cfg = makeConfig(Design::Baseline, 8);
-    RowPartition part(64, 8, cfg.mapPolicy);
+    RowPartition part(64, 8);
     SpmmStats stats =
         SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part).stats;
     EXPECT_GE(stats.cycles, stats.idealCycles);
@@ -117,14 +117,14 @@ TEST(Engine, LocalSharingImprovesSkewedUtilization)
     SpmmStats base_stats, shared_stats;
     {
         AccelConfig cfg = makeConfig(Design::Baseline, 16);
-        RowPartition part(128, 16, cfg.mapPolicy);
+        RowPartition part(128, 16);
         base_stats =
             SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part)
                 .stats;
     }
     {
         AccelConfig cfg = makeConfig(Design::LocalB, 16);
-        RowPartition part(128, 16, cfg.mapPolicy);
+        RowPartition part(128, 16);
         shared_stats =
             SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part)
                 .stats;
@@ -151,14 +151,14 @@ TEST(Engine, RemoteSwitchingBeatsLocalOnlyOnClusteredRows)
     SpmmStats local_stats, remote_stats;
     {
         AccelConfig cfg = makeConfig(Design::LocalA, 16);
-        RowPartition part(128, 16, cfg.mapPolicy);
+        RowPartition part(128, 16);
         local_stats =
             SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part)
                 .stats;
     }
     {
         AccelConfig cfg = makeConfig(Design::RemoteC, 16);
-        RowPartition part(128, 16, cfg.mapPolicy);
+        RowPartition part(128, 16);
         remote_stats =
             SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part)
                 .stats;
@@ -173,7 +173,7 @@ TEST(Engine, RemoteSwitchingConvergesAndReusesMap)
     auto a = skewedSparse(rng, 128, 128);
     auto b = randomDense(rng, 128, 32);
     AccelConfig cfg = makeConfig(Design::RemoteD, 16);
-    RowPartition part(128, 16, cfg.mapPolicy);
+    RowPartition part(128, 16);
     SpmmStats stats =
         SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part).stats;
     // Auto-tuning must settle well before the 32 rounds are over.
@@ -195,14 +195,14 @@ TEST(Engine, RebalancingShrinksPeakQueueDepth)
     SpmmStats base_stats, d_stats;
     {
         AccelConfig cfg = makeConfig(Design::Baseline, 16);
-        RowPartition part(256, 16, cfg.mapPolicy);
+        RowPartition part(256, 16);
         base_stats =
             SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part)
                 .stats;
     }
     {
         AccelConfig cfg = makeConfig(Design::RemoteD, 16);
-        RowPartition part(256, 16, cfg.mapPolicy);
+        RowPartition part(256, 16);
         d_stats =
             SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part)
                 .stats;
@@ -225,14 +225,14 @@ TEST(Engine, UniformWorkloadAlreadyBalanced)
     SpmmStats base_stats, d_stats;
     {
         AccelConfig cfg = makeConfig(Design::Baseline, 16);
-        RowPartition part(256, 16, cfg.mapPolicy);
+        RowPartition part(256, 16);
         base_stats =
             SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part)
                 .stats;
     }
     {
         AccelConfig cfg = makeConfig(Design::RemoteD, 16);
-        RowPartition part(256, 16, cfg.mapPolicy);
+        RowPartition part(256, 16);
         d_stats =
             SpmmEngine(cfg).execute(a, b, TdqKind::Tdq2OmegaCsc, part)
                 .stats;

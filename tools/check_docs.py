@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Documentation hygiene checker.
 
-Verifies, across every git-tracked file:
+Verifies, across every git-tracked file (or, where git cannot list them,
+as in an exported copy of the tree, every file under it except `.git` and
+the build trees `.gitignore` names):
 
 1. `DESIGN.md §N` references (the form source comments use) point at a
    real `§N` section heading in DESIGN.md;
@@ -9,13 +11,18 @@ Verifies, across every git-tracked file:
 3. `#anchor` fragments in those links match a heading of the target
    markdown file (GitHub heading-slug rules).
 
+A `DESIGN.md §N` quoted inside an inline code span of a markdown file is
+text about the form, not a citation, and is not checked.
+
 Run from the repository root (CI docs job and the `docs_check` ctest do).
 Exits non-zero listing every dangling reference found.
 """
 
+import os
 import re
 import subprocess
 import sys
+from fnmatch import fnmatch
 from pathlib import Path
 
 TEXT_SUFFIXES = {".md", ".hpp", ".cpp", ".py", ".yml", ".yaml", ".txt",
@@ -23,13 +30,40 @@ TEXT_SUFFIXES = {".md", ".hpp", ".cpp", ".py", ".yml", ".yaml", ".txt",
 SECTION_REF = re.compile(r"DESIGN\.md\s*§(\d+)")
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*$", re.MULTILINE)
+INLINE_CODE = re.compile(r"`[^`\n]*`")
+
+
+def ignored_dirs():
+    """Directory patterns `.gitignore` names (`build/`, `build-*/`, ...)."""
+    try:
+        lines = Path(".gitignore").read_text(encoding="utf-8").splitlines()
+    except FileNotFoundError:
+        return []
+    return [line.strip().strip("/") for line in lines
+            if line.strip().endswith("/") and not line.startswith(("#", "!"))]
+
+
+def walked_files():
+    skip = [".git"] + ignored_dirs()
+    out = []
+    for root, dirs, files in os.walk("."):
+        dirs[:] = sorted(d for d in dirs
+                         if not any(fnmatch(d, pat) for pat in skip))
+        out += [Path(root, f) for f in sorted(files)]
+    return out
 
 
 def tracked_files():
-    out = subprocess.run(["git", "ls-files"], check=True,
-                         capture_output=True, text=True).stdout
-    return [Path(p) for p in out.splitlines()
-            if Path(p).suffix in TEXT_SUFFIXES or Path(p).name == "CMakeLists.txt"]
+    try:
+        out = subprocess.run(["git", "ls-files"], check=True,
+                             capture_output=True, text=True).stdout
+        paths = [Path(p) for p in out.splitlines()]
+    except (OSError, subprocess.CalledProcessError):
+        paths = []
+    if not paths:  # not a git checkout (or git is missing)
+        paths = walked_files()
+    return [p for p in paths
+            if p.suffix in TEXT_SUFFIXES or p.name == "CMakeLists.txt"]
 
 
 def github_slug(heading, seen):
@@ -83,7 +117,8 @@ def main():
             continue
 
         # 1. DESIGN.md §N references, in any tracked file.
-        for m in SECTION_REF.finditer(text):
+        cited = INLINE_CODE.sub("", text) if path.suffix == ".md" else text
+        for m in SECTION_REF.finditer(cited):
             if not design.is_file():
                 errors.append(f"{path}: cites DESIGN.md §{m.group(1)} "
                               "but DESIGN.md does not exist")
